@@ -38,6 +38,7 @@
 #include "media/synthetic.h"
 #include "net/network.h"
 #include "net/reliable.h"
+#include "sim/loop.h"
 
 namespace {
 
@@ -117,6 +118,8 @@ FanoutRow RunPoint(size_t audience, size_t frames, bool inject_failure,
 
   fanout::BroadcastSession session(&network, &transport, origin, "lecture",
                                    LectureOptions());
+  sim::Loop loop(&transport);
+  loop.Register(&session);
   session.SetObserver(sinks.metrics, sinks.tracer);
   session.OpenAudience(audience).ok();
   // Class split: half the audience on the high tier, the rest across
@@ -147,7 +150,7 @@ FanoutRow RunPoint(size_t audience, size_t frames, bool inject_failure,
 
   for (size_t frame = 0; frame < frames; ++frame) {
     session.PushFrame(source.images, source.tracks).ok();
-    session.Settle().ok();
+    loop.Settle().ok();
     if (inject_failure && frame + 1 == frames / 2 &&
         session.tree()->edge_relays().size() > 1) {
       // Kill a loaded edge relay's upstream link mid-broadcast: the next
@@ -282,12 +285,14 @@ void BM_PushFrameThroughTree(benchmark::State& state) {
   net::ReliableTransport transport(&network);
   fanout::BroadcastSession session(&network, &transport, origin, "lecture",
                                    LectureOptions());
+  sim::Loop loop(&transport);
+  loop.Register(&session);
   session.OpenAudience(audience).ok();
   session.AdmitAudience(audience, doc::BandwidthLevel::kMedium).ok();
   FrameSource source;
   for (auto _ : state) {
     session.PushFrame(source.images, source.tracks).ok();
-    session.Settle().ok();
+    loop.Settle().ok();
   }
 }
 BENCHMARK(BM_PushFrameThroughTree)->Arg(1000)->Arg(10000);

@@ -126,7 +126,7 @@ FedRow RunPoint(size_t num_nodes, size_t num_rooms, int rounds,
     }
     rooms.push_back(id);
   }
-  fleet.tier->Settle().value();
+  fleet.tier->loop()->Settle().value();
 
   // Choice rounds, deliberately entering through a rotating (often
   // wrong) node so the forwarding path is on the hot path.
@@ -139,7 +139,7 @@ FedRow RunPoint(size_t num_nodes, size_t num_rooms, int rounds,
                             Choice(round + static_cast<int>(r)))
           .value();
     }
-    fleet.tier->Settle().value();
+    fleet.tier->loop()->Settle().value();
     for (const std::string& id : rooms) {
       size_t owner = fleet.tier->NodeOf(id).value();
       server::RoomReliabilityStats stats =
@@ -176,7 +176,7 @@ FedRow RunPoint(size_t num_nodes, size_t num_rooms, int rounds,
     row.migration_delta = report.delta_actions;
     row.streams_carried = report.streams_carried;
     row.migration_verified = report.verified;
-    fleet.tier->Settle().value();
+    fleet.tier->loop()->Settle().value();
   } else {
     row.migration_verified = true;  // nothing to migrate inside one node
   }
@@ -264,14 +264,14 @@ void BM_FederatedChoiceRound(benchmark::State& state) {
       ->OpenRoomWithDocument("room", doc::MakeMedicalRecordDocument().value())
       .value();
   fleet.tier->Join("room", {"viewer", fleet.clients[0]}).value();
-  fleet.tier->Settle().value();
+  fleet.tier->loop()->Settle().value();
   size_t owner = fleet.tier->NodeOf("room").value();
   size_t via = nodes > 1 ? (owner + 1) % nodes : owner;
   int round = 0;
   for (auto _ : state) {
     fleet.tier->SubmitChoiceVia(via, "room", "viewer", "CT", Choice(round))
         .value();
-    benchmark::DoNotOptimize(fleet.tier->Settle().value());
+    benchmark::DoNotOptimize(fleet.tier->loop()->Settle().value());
     ++round;
   }
 }
@@ -296,7 +296,7 @@ void BM_RoomMigration(benchmark::State& state) {
       .value();
   fleet.tier->Join("room", {"viewer", fleet.clients[0]}).value();
   fleet.tier->SubmitChoice("room", "viewer", "CT", "hidden").value();
-  fleet.tier->Settle().value();
+  fleet.tier->loop()->Settle().value();
   size_t here = fleet.tier->NodeOf("room").value();
   for (auto _ : state) {
     size_t there = 1 - here;

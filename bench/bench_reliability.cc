@@ -26,6 +26,7 @@
 #include "net/network.h"
 #include "net/reliable.h"
 #include "server/interaction_server.h"
+#include "sim/loop.h"
 #include "storage/database.h"
 
 namespace {
@@ -41,6 +42,7 @@ struct LossyFleet {
   std::unique_ptr<net::Network> network;
   std::unique_ptr<net::ReliableTransport> transport;
   std::unique_ptr<server::InteractionServer> server;
+  std::unique_ptr<sim::Loop> loop;
   net::NodeId server_node = 0, db_node = 0;
   std::vector<net::NodeId> clients;
 
@@ -70,6 +72,8 @@ struct LossyFleet {
     server = std::make_unique<server::InteractionServer>(
         &db, network.get(), server_node, db_node);
     server->UseReliableTransport(transport.get());
+    loop = std::make_unique<sim::Loop>(transport.get());
+    loop->Register(server.get());
     if (sinks.enabled()) {
       network->SetObserver(sinks.metrics, sinks.tracer);
       transport->SetObserver(sinks.metrics, sinks.tracer);
@@ -83,7 +87,7 @@ struct LossyFleet {
       server->Join("room", {"viewer-" + std::to_string(i), clients[i]})
           .value();
     }
-    transport->AdvanceUntilIdle();
+    loop->Drain();
   }
 };
 
@@ -130,7 +134,7 @@ std::vector<LossRow> RunLossSweep(bool smoke,
                          "viewer-" + std::to_string(round % kClients), "CT",
                          Choice(round))
           .value();
-      fleet.transport->AdvanceUntilIdle();
+      fleet.loop->Drain();
       server::RoomReliabilityStats stats =
           fleet.server->RoomStats("room").value();
       double t2c_ms = static_cast<double>(stats.last_converged_at -
@@ -193,7 +197,7 @@ void BM_PropagateUnderLoss(benchmark::State& state) {
         ->SubmitChoice("room", "viewer-" + std::to_string(round % kClients),
                        "CT", Choice(round))
         .value();
-    benchmark::DoNotOptimize(fleet.transport->AdvanceUntilIdle());
+    benchmark::DoNotOptimize(fleet.loop->Drain());
     ++round;
   }
   state.counters["retries"] = static_cast<double>(

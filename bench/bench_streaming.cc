@@ -33,6 +33,7 @@
 #include "net/network.h"
 #include "net/reliable.h"
 #include "server/interaction_server.h"
+#include "sim/loop.h"
 #include "storage/database.h"
 #include "stream/chunker.h"
 #include "stream/playout.h"
@@ -90,6 +91,8 @@ SweepRow RunSweepPoint(const std::vector<Bytes>& objects, double bandwidth,
   server::InteractionServer server(&db, &network, server_node, db_node);
   net::ReliableTransport transport(&network);
   server.UseReliableTransport(&transport);
+  sim::Loop loop(&transport);
+  loop.Register(&server);
   if (sinks.enabled()) {
     sinks.BeginFleet(&clock, index);
     network.SetObserver(sinks.metrics, sinks.tracer);
@@ -101,7 +104,7 @@ SweepRow RunSweepPoint(const std::vector<Bytes>& objects, double bandwidth,
                             doc::MakeMedicalRecordDocument().value())
       .value();
   server.Join("consult", {"radiologist", client}).value();
-  transport.AdvanceUntilIdle();
+  loop.Drain();
 
   stream::StreamOptions options;
   options.start_deadline_micros = clock.NowMicros() + 2 * interval_micros;
@@ -109,7 +112,10 @@ SweepRow RunSweepPoint(const std::vector<Bytes>& objects, double bandwidth,
   options.chunk_bytes = 4 << 10;
   stream::StreamId id =
       server.OpenStream("consult", "radiologist", objects, options).value();
-  server.AdvanceStreamsUntilIdle().value();
+  // Settle advances before it pumps: pump first, so the first chunks go
+  // out now rather than at the stream's first playout deadline.
+  loop.Pump().ok();
+  loop.Settle().value();
 
   stream::StreamStats stats = server.StreamSessionStats(id).value();
   SweepRow row;

@@ -50,7 +50,7 @@ int main() {
   // Front-door admission: node 0 forwards the join to the owning node.
   tier.Join(room_id, {"dr-cohen", ws}).value();
   tier.Join(room_id, {"dr-levi", dsl}).value();
-  tier.Settle().value();
+  tier.loop()->Settle().value();
   std::printf("both physicians admitted via the front door (node 0 -> "
               "node %zu)\n", home);
 
@@ -58,7 +58,7 @@ int main() {
   // forwards it over the backbone and applies it on the owner.
   size_t wrong = (home + 1) % tier.num_nodes();
   tier.SubmitChoiceVia(wrong, room_id, "dr-levi", "CT", "segmented").value();
-  tier.Settle().value();
+  tier.loop()->Settle().value();
   std::printf("dr-levi's CT=segmented entered at node %zu, forwarded to "
               "node %zu (fed.routed=%llu)\n\n",
               wrong, home,
@@ -98,7 +98,7 @@ int main() {
 
   // Let the carried stream finish from its new node, then show the
   // per-node load the gauges publish.
-  tier.Settle().value();
+  tier.loop()->Settle().value();
   std::vector<federation::NodeLoad> loads = tier.Loads();
   std::printf("per-node load after migration:\n");
   for (size_t i = 0; i < loads.size(); ++i) {

@@ -47,7 +47,7 @@ int main() {
       .value();
   tier.Join(room_id, {"dr-lecturer", podium}).value();
   tier.Join(room_id, {"moderator", podium}).value();
-  director.Settle().value();
+  tier.loop()->Settle().value();
   size_t host = tier.NodeOf(room_id).value();
   std::printf("room '%s' hosts its broadcast on fed-node-%zu\n", room_id.c_str(),
               host);
@@ -101,7 +101,7 @@ int main() {
   // Four composed frames: the mix follows the handoff automatically.
   for (int frame = 0; frame < 4; ++frame) {
     director.PushFrame(room_id).ok();
-    director.Settle().value();
+    tier.loop()->Settle().value();
   }
   // Replay the composition (it is pure) to show who was live per frame.
   std::vector<fanout::SpeakerTrack> tracks = {

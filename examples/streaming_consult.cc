@@ -25,6 +25,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/interaction_server.h"
+#include "sim/loop.h"
 #include "storage/database.h"
 #include "stream/scheduler.h"
 
@@ -70,6 +71,9 @@ int main(int argc, char** argv) {
   db.RegisterStandardTypes().ok();
   server::InteractionServer server(&db, &network, server_node, db_node);
   server.UseReliableTransport(&transport);
+  // One drive loop pumps the transport and the server's stream schedulers.
+  sim::Loop loop(&transport);
+  loop.Register(&server);
 
   obs::MetricsRegistry registry;
   obs::Tracer tracer(&clock);
@@ -87,7 +91,7 @@ int main(int argc, char** argv) {
   server.OpenRoom("consult", ref).value();
   server.Join("consult", {"dr-cohen", workstation}).value();
   server.Join("consult", {"dr-levi", clinic}).value();
-  transport.AdvanceUntilIdle();
+  loop.Drain();
 
   // One stream per partner: a slice every 250 ms, first deadline 600 ms
   // out. Same content, same deadlines — only the links differ.
@@ -99,7 +103,10 @@ int main(int argc, char** argv) {
       server.OpenStream("consult", "dr-cohen", cine, options).value();
   stream::StreamId to_levi =
       server.OpenStream("consult", "dr-levi", cine, options).value();
-  server.AdvanceStreamsUntilIdle().value();
+  // Settle advances before it pumps: pump first, so the first chunks go
+  // out now rather than at the streams' first playout deadline.
+  loop.Pump().ok();
+  loop.Settle().value();
 
   struct Row {
     const char* who;

@@ -1,7 +1,6 @@
 #include "common/bytes.h"
 
 #include <array>
-#include <cstdlib>
 #include <cstring>
 
 namespace mmconf {
@@ -280,27 +279,8 @@ CrcDispatch ResolveCrc(Crc32cImpl impl) {
   return {Crc32cSlice8, Crc32cImpl::kSlice8};
 }
 
-/// First-use engine choice: the MMCONF_CRC32C environment variable
-/// ("table", "slice8", "hardware") overrides auto-detection — for A/B
-/// timing and for pinning the portable engine when triaging a machine.
-/// Unknown values and unavailable engines fall back to kAuto.
-CrcDispatch InitialCrcDispatch() {
-  const char* requested = std::getenv("MMCONF_CRC32C");
-  if (requested != nullptr) {
-    Crc32cImpl impl = Crc32cImpl::kAuto;
-    if (std::strcmp(requested, "table") == 0) impl = Crc32cImpl::kTable;
-    if (std::strcmp(requested, "slice8") == 0) impl = Crc32cImpl::kSlice8;
-    if (std::strcmp(requested, "hardware") == 0) {
-      impl = Crc32cImpl::kHardware;
-    }
-    CrcDispatch resolved = ResolveCrc(impl);
-    if (resolved.fn != nullptr) return resolved;
-  }
-  return ResolveCrc(Crc32cImpl::kAuto);
-}
-
 CrcDispatch& GlobalCrcDispatch() {
-  static CrcDispatch dispatch = InitialCrcDispatch();
+  static CrcDispatch dispatch = ResolveCrc(Crc32cImpl::kAuto);
   return dispatch;
 }
 

@@ -12,6 +12,10 @@ namespace mmconf::compress {
 namespace {
 
 constexpr uint32_t kMagic = 0x4d4c4352;  // "MLCR"
+/// Largest image a stream may declare: 256x the largest (256x256) image
+/// the system encodes. Decode allocates width x height planes, so the
+/// header's dimensions are bounded before anything trusts them.
+constexpr int64_t kMaxPixels = int64_t{1} << 24;
 
 Status AnalyzeLayer(Plane& plane, const LayerSpec& spec,
                     WaveletBasis wavelet) {
@@ -198,7 +202,8 @@ Result<StreamInfo> LayeredCodec::Inspect(const Bytes& stream) {
   StreamInfo info;
   MMCONF_ASSIGN_OR_RETURN(info.width, r.GetI32());
   MMCONF_ASSIGN_OR_RETURN(info.height, r.GetI32());
-  if (info.width <= 0 || info.height <= 0) {
+  if (info.width <= 0 || info.height <= 0 ||
+      int64_t{info.width} * info.height > kMaxPixels) {
     return Status::Corruption("bad stream dimensions");
   }
   MMCONF_ASSIGN_OR_RETURN(uint8_t wavelet, r.GetU8());

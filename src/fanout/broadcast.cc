@@ -33,11 +33,6 @@ BroadcastSession::BroadcastSession(net::Network* network,
   history_.resize(options_.frame_history);
   frame_tag_prefix_ = "fo:f:" + label_ + ":";
   audio_tag_prefix_ = "fo:a:" + label_ + ":";
-  if (options_.install_failure_callback) {
-    transport_->SetFailureCallback([this](const net::FailedMessage& failure) {
-      OnSendFailure(failure);
-    });
-  }
 }
 
 Status BroadcastSession::OpenAudience(size_t expected_audience) {
@@ -221,7 +216,7 @@ Status BroadcastSession::DeliverAtEdge(net::NodeId edge,
   return Status::OK();
 }
 
-bool BroadcastSession::OnDelivery(const net::Delivery& delivery) {
+bool BroadcastSession::Offer(const net::Delivery& delivery) {
   if (delivery.tag.rfind(frame_tag_prefix_, 0) == 0) {
     if (tree_ == nullptr || !tree_->IsRelay(delivery.to)) return true;
     Result<ParsedFrame> parsed = ParseFrame(delivery.payload);
@@ -260,7 +255,7 @@ bool BroadcastSession::OnDelivery(const net::Delivery& delivery) {
   return false;
 }
 
-bool BroadcastSession::OnSendFailure(const net::FailedMessage& failure) {
+bool BroadcastSession::OnFailure(const net::FailedMessage& failure) {
   if (failure.tag.rfind(frame_tag_prefix_, 0) == 0) {
     if (tree_ == nullptr || !tree_->IsRelay(failure.to)) return true;
     Result<net::NodeId> parent = tree_->ParentOf(failure.to);
@@ -302,18 +297,15 @@ bool BroadcastSession::OnSendFailure(const net::FailedMessage& failure) {
   if (failure.tag.rfind("sc:", 0) == 0 &&
       schedulers_.count(failure.from) > 0) {
     // A chunk of one of this session's composed streams: the scheduler
-    // folds the failure in via ObserveAcks; nothing to dispatch.
+    // folds the failure in when pumped; nothing to dispatch.
     return true;
   }
   return false;
 }
 
-void BroadcastSession::ObserveAcks() {
+Result<size_t> BroadcastSession::Pump(MicrosT now) {
   for (auto& [edge, scheduler] : schedulers_) scheduler->ObserveAcks();
   ReapStreams();
-}
-
-size_t BroadcastSession::Pump(MicrosT now) {
   size_t sent = 0;
   for (auto& [edge, scheduler] : schedulers_) sent += scheduler->Pump(now);
   return sent;
@@ -351,24 +343,6 @@ void BroadcastSession::ReapStreams() {
       scheduler->Close(stats.id).ok();
     }
   }
-}
-
-Status BroadcastSession::Settle() {
-  while (true) {
-    MicrosT now = network_->clock()->NowMicros();
-    MicrosT wake = NextActionAt(now);
-    std::vector<net::Delivery> batch = wake >= 0
-                                           ? transport_->AdvanceTo(wake)
-                                           : transport_->AdvanceUntilIdle();
-    for (const net::Delivery& delivery : batch) OnDelivery(delivery);
-    ObserveAcks();
-    size_t sent = Pump(network_->clock()->NowMicros());
-    if (wake < 0 && batch.empty() && sent == 0 &&
-        transport_->in_flight() == 0 && network_->pending() == 0) {
-      break;
-    }
-  }
-  return Status::OK();
 }
 
 Status BroadcastSession::PauseAtChunkBoundary() {

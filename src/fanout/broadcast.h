@@ -20,6 +20,7 @@
 #include "net/reliable.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/loop.h"
 #include "stream/scheduler.h"
 
 namespace mmconf::fanout {
@@ -38,10 +39,6 @@ struct BroadcastOptions {
   /// tier's per-node striding (node i issues from i * 2^32 + 1), so a
   /// broadcast can share the tier's transport without id collisions.
   stream::StreamId first_stream_id = 1ull << 48;
-  /// Install this session as the shared transport's failure callback
-  /// (standalone use). Leave false when a director owns the callback
-  /// and forwards failures via OnSendFailure.
-  bool install_failure_callback = true;
 };
 
 /// One real, fully simulated audience member: its own network node and
@@ -102,11 +99,11 @@ struct BroadcastStats {
 /// simulated end-to-end through the real stream::StreamScheduler so
 /// delivery invariants are measured, not assumed.
 ///
-/// Like every subsystem here the session owns no threads. Standalone it
-/// is pumped via Settle(); under a federation tier the BroadcastDirector
-/// drives ObserveAcks/Pump/OnDelivery inside the tier's own loop, since
-/// no single owner may pump a shared transport.
-class BroadcastSession {
+/// Like every subsystem here the session owns no threads: it is a
+/// sim::Participant, driven by the sim::Loop of its transport. Standalone
+/// that is a loop of its own; under a federation tier the
+/// BroadcastDirector registers it on the tier's loop, after the nodes.
+class BroadcastSession : public sim::Participant {
  public:
   /// `network` and `transport` must outlive the session. `origin` is the
   /// hosting node (feeds the tree); `label` namespaces relay/viewer node
@@ -142,35 +139,33 @@ class BroadcastSession {
   Status PushFrame(const std::vector<media::Image>& images,
                    const std::vector<SpeakerTrack>& tracks);
 
-  /// --- pump interface (a director drives these inside its loop) ---
+  /// --- sim::Participant ---
+
+  /// Earliest pacing slot of any edge scheduler's composed stream.
+  MicrosT NextActionAt(MicrosT now) const override;
 
   /// Routes one application-level delivery: relay store-and-forward,
   /// edge fan-out to sampled viewers, viewer-side audio receipt, and
   /// chunk deliveries of this session's streams. True when consumed.
-  bool OnDelivery(const net::Delivery& delivery);
+  bool Offer(const net::Delivery& delivery) override;
+
+  /// Folds the edge schedulers' acks (closing resolved streams into the
+  /// totals) and sends every chunk due at `now`.
+  Result<size_t> Pump(MicrosT now) override;
 
   /// Handles a transport delivery-failure. A dead tree link reparents
   /// the orphaned relay's subtree and re-sends the recent frame history
   /// down the new link. True when the failure was this session's.
-  bool OnSendFailure(const net::FailedMessage& failure);
+  bool OnFailure(const net::FailedMessage& failure) override;
 
-  void ObserveAcks();
-  size_t Pump(MicrosT now);
-  MicrosT NextActionAt(MicrosT now) const;
   /// True when every sampled-viewer stream has resolved.
   bool Idle() const;
-
-  /// Standalone drive loop: advances the shared transport, routes
-  /// deliveries through OnDelivery, pumps the edge schedulers, and
-  /// returns when everything is idle. Do not call when a tier shares
-  /// the transport — use the BroadcastDirector's Settle instead.
-  Status Settle();
 
   /// --- migration support ---
 
   /// Stops frame production so in-flight streams drain at a chunk
-  /// boundary (pump to idle afterwards — under a director that happens
-  /// inside the tier settle the migration itself runs).
+  /// boundary (settle the loop afterwards — under a director that
+  /// happens inside the migration itself).
   Status PauseAtChunkBoundary();
   bool paused() const { return paused_; }
 

@@ -26,16 +26,6 @@ bool IsImageKind(doc::PresentationKind kind) {
 BroadcastDirector::BroadcastDirector(
     federation::FederatedInteractionTier* tier, net::Network* network)
     : tier_(tier), network_(network) {
-  // One failure callback serves both layers: broadcast traffic first
-  // (tree links, viewer last miles, composed-stream chunks), the tier's
-  // own dispatch for everything else.
-  tier_->transport()->SetFailureCallback(
-      [this](const net::FailedMessage& failure) {
-        for (auto& [room, hosted] : sessions_) {
-          if (hosted.session->OnSendFailure(failure)) return;
-        }
-        tier_->DispatchFailure(failure);
-      });
   // A migrated room drags its broadcast along: re-root the tree at the
   // new hosting node and resume frame production.
   tier_->SetRoomMovedCallback(
@@ -48,6 +38,12 @@ BroadcastDirector::BroadcastDirector(
       });
 }
 
+BroadcastDirector::~BroadcastDirector() {
+  for (auto& [room, hosted] : sessions_) {
+    tier_->loop()->Unregister(hosted.session.get());
+  }
+}
+
 Result<BroadcastSession*> BroadcastDirector::HostBroadcast(
     const std::string& room_id, size_t expected_audience,
     BroadcastOptions options) {
@@ -56,7 +52,6 @@ Result<BroadcastSession*> BroadcastDirector::HostBroadcast(
                                  "\" already hosts a broadcast");
   }
   MMCONF_ASSIGN_OR_RETURN(size_t owner, tier_->NodeOf(room_id));
-  options.install_failure_callback = false;  // the director owns it
   Hosted hosted;
   hosted.session = std::make_unique<BroadcastSession>(
       network_, tier_->transport(), tier_->node_net(owner), room_id,
@@ -65,6 +60,7 @@ Result<BroadcastSession*> BroadcastDirector::HostBroadcast(
   hosted.session->SetObserver(metrics_, tracer_);
   BroadcastSession* session = hosted.session.get();
   sessions_[room_id] = std::move(hosted);
+  tier_->loop()->Register(session);
   return session;
 }
 
@@ -79,10 +75,13 @@ Result<BroadcastSession*> BroadcastDirector::SessionFor(
 }
 
 Status BroadcastDirector::CloseBroadcast(const std::string& room_id) {
-  if (sessions_.erase(room_id) == 0) {
+  auto it = sessions_.find(room_id);
+  if (it == sessions_.end()) {
     return Status::NotFound("room \"" + room_id +
                             "\" hosts no broadcast");
   }
+  tier_->loop()->Unregister(it->second.session.get());
+  sessions_.erase(it);
   return Status::OK();
 }
 
@@ -203,7 +202,7 @@ Result<federation::MigrationReport> BroadcastDirector::MigrateBroadcast(
   // Chunk-boundary quiesce: no new frames, drain what is in flight so
   // every composed stream resolves before the room's state ships.
   MMCONF_RETURN_IF_ERROR(session->PauseAtChunkBoundary());
-  MMCONF_RETURN_IF_ERROR(Settle().status());
+  MMCONF_RETURN_IF_ERROR(tier_->loop()->Settle().status());
   // The room-moved hook fires inside FinishMigration: it re-roots the
   // tree at the target node and un-pauses the session.
   Result<federation::MigrationReport> report =
@@ -213,61 +212,8 @@ Result<federation::MigrationReport> BroadcastDirector::MigrateBroadcast(
     session->ResumeAt(session->origin()).ok();
     return report;
   }
-  MMCONF_RETURN_IF_ERROR(Settle().status());
+  MMCONF_RETURN_IF_ERROR(tier_->loop()->Settle().status());
   return report;
-}
-
-Result<std::vector<net::Delivery>> BroadcastDirector::Settle() {
-  std::vector<net::Delivery> passthrough;
-  net::ReliableTransport* transport = tier_->transport();
-  while (true) {
-    MicrosT now = network_->clock()->NowMicros();
-    MicrosT wake = -1;
-    for (size_t i = 0; i < tier_->num_nodes(); ++i) {
-      MicrosT at = tier_->node(i)->NextStreamActionAt(now);
-      if (at >= 0 && (wake < 0 || at < wake)) wake = at;
-    }
-    for (auto& [room, hosted] : sessions_) {
-      MicrosT at = hosted.session->NextActionAt(now);
-      if (at >= 0 && (wake < 0 || at < wake)) wake = at;
-    }
-    std::vector<net::Delivery> batch = wake >= 0
-                                           ? transport->AdvanceTo(wake)
-                                           : transport->AdvanceUntilIdle();
-    for (net::Delivery& delivery : batch) {
-      bool consumed = false;
-      for (auto& [room, hosted] : sessions_) {
-        if (hosted.session->OnDelivery(delivery)) {
-          consumed = true;
-          break;
-        }
-      }
-      if (!consumed) {
-        for (size_t i = 0; i < tier_->num_nodes(); ++i) {
-          if (tier_->node(i)->RouteDelivery(delivery)) {
-            consumed = true;
-            break;
-          }
-        }
-      }
-      if (!consumed) passthrough.push_back(std::move(delivery));
-    }
-    size_t sent = 0;
-    MicrosT pump_now = network_->clock()->NowMicros();
-    for (size_t i = 0; i < tier_->num_nodes(); ++i) {
-      tier_->node(i)->ObserveStreamAcks();
-      sent += tier_->node(i)->PumpStreams(pump_now);
-    }
-    for (auto& [room, hosted] : sessions_) {
-      hosted.session->ObserveAcks();
-      sent += hosted.session->Pump(pump_now);
-    }
-    if (wake < 0 && batch.empty() && sent == 0 &&
-        transport->in_flight() == 0 && network_->pending() == 0) {
-      break;
-    }
-  }
-  return passthrough;
 }
 
 void BroadcastDirector::SetObserver(obs::MetricsRegistry* metrics,

@@ -26,27 +26,27 @@ namespace mmconf::fanout {
 /// whichever node the room lives on — a tier migration re-roots the tree
 /// automatically via the tier's room-moved callback.
 ///
-/// The director owns the shared transport's failure callback (installed
-/// over the tier's): session failures (tree links, viewer last miles)
-/// are handled by the owning session, everything else is forwarded to
-/// FederatedInteractionTier::DispatchFailure. It also owns the combined
-/// drive loop (Settle) — with broadcasts hosted, neither the tier's
-/// Settle nor a session's standalone Settle may be used, since each
-/// would pump the shared transport blind to the other's streams.
+/// Each hosted session is a participant of the tier's sim::Loop,
+/// registered when the broadcast is hosted (after the tier's nodes) and
+/// dropped when it closes. The loop routes each session its own traffic
+/// and failures (tree links, viewer last miles, composed-stream chunks)
+/// and pumps it next to the nodes, so tier->loop()->Settle() drives
+/// rooms and broadcasts alike.
 class BroadcastDirector {
  public:
   /// `tier` and `network` must outlive the director. Installs the
-  /// wrapping failure callback and the room-moved hook on the tier.
+  /// room-moved hook on the tier.
   BroadcastDirector(federation::FederatedInteractionTier* tier,
                     net::Network* network);
+  ~BroadcastDirector();
 
   BroadcastDirector(const BroadcastDirector&) = delete;
   BroadcastDirector& operator=(const BroadcastDirector&) = delete;
 
   /// Stands a broadcast up for an open room: the session's tree roots at
-  /// the room's hosting node, sized for `expected_audience`.
-  /// `options.install_failure_callback` is forced off (the director owns
-  /// the callback). AlreadyExists when the room already broadcasts.
+  /// the room's hosting node, sized for `expected_audience`, and the
+  /// session joins the tier's loop. AlreadyExists when the room already
+  /// broadcasts.
   Result<BroadcastSession*> HostBroadcast(const std::string& room_id,
                                           size_t expected_audience,
                                           BroadcastOptions options = {});
@@ -84,17 +84,12 @@ class BroadcastDirector {
   Status PushFrame(const std::string& room_id);
 
   /// Migrates the hosting room with its live broadcast: pauses frame
-  /// production, drains to a chunk boundary (Settle), migrates the room
-  /// through the tier — the room-moved hook re-roots the tree at the new
-  /// node and resumes — then settles the cutover traffic.
+  /// production, settles the tier's loop so every composed stream
+  /// resolves, migrates the room through the tier — the room-moved hook
+  /// re-roots the tree at the new node and resumes — then settles the
+  /// cutover traffic.
   Result<federation::MigrationReport> MigrateBroadcast(
       const std::string& room_id, size_t target_node);
-
-  /// The combined drive loop: advances the shared transport, routing
-  /// deliveries to sessions first and tier nodes second, and pumps every
-  /// node's and every session's schedulers until everything idles.
-  /// Returns unconsumed deliveries in arrival order.
-  Result<std::vector<net::Delivery>> Settle();
 
   /// Forwarded to every hosted session (fanout.* / mix.* / stream.*).
   void SetObserver(obs::MetricsRegistry* metrics, obs::Tracer* tracer);

@@ -24,9 +24,10 @@ FederatedInteractionTier::FederatedInteractionTier(
       network_(network),
       db_node_(db_node),
       options_(options),
+      transport_(
+          std::make_unique<net::ReliableTransport>(network, options.retry)),
+      loop_(transport_.get()),
       placement_(options.num_nodes) {
-  transport_ =
-      std::make_unique<net::ReliableTransport>(network_, options_.retry);
   nodes_.reserve(placement_.num_nodes());
   for (size_t i = 0; i < placement_.num_nodes(); ++i) {
     Node node;
@@ -38,27 +39,14 @@ FederatedInteractionTier::FederatedInteractionTier(
     }
     node.server = std::make_unique<InteractionServer>(db_, network_,
                                                       node.net_id, db_node_);
-    // The transport is shared: the tier owns its one failure callback
-    // and dispatches below; each server keeps its ids disjoint.
-    node.server->UseReliableTransport(transport_.get(),
-                                      /*install_failure_callback=*/false);
+    // The transport is shared: each server keeps its stream ids
+    // disjoint, and the loop routes to it only its own traffic.
+    node.server->UseReliableTransport(transport_.get());
     node.server->SeedStreamIds(static_cast<stream::StreamId>(i) *
                                    options_.stream_id_stride +
                                1);
+    loop_.Register(node.server.get());
     nodes_.push_back(std::move(node));
-  }
-  transport_->SetFailureCallback([this](const net::FailedMessage& failure) {
-    DispatchFailure(failure);
-  });
-}
-
-void FederatedInteractionTier::DispatchFailure(
-    const net::FailedMessage& failure) {
-  for (Node& node : nodes_) {
-    if (node.server->server_node() == failure.from) {
-      node.server->HandleDeliveryFailure(failure);
-      return;
-    }
   }
 }
 
@@ -331,7 +319,7 @@ Result<MigrationReport> FederatedInteractionTier::FinishMigration(
   // Resolve the state transfer (and everything else in flight) without
   // admitting new stream chunks — live streams must quiesce at a chunk
   // boundary so their positions can move with the room.
-  Quiesce();
+  loop_.Drain();
   Result<net::SendState> state = transport_->StateOf(migration.state_msg);
   if (!state.ok() || *state != net::SendState::kAcked) {
     return fail(Status::ResourceExhausted(
@@ -356,7 +344,7 @@ Result<MigrationReport> FederatedInteractionTier::FinishMigration(
                          nodes_[migration.to].net_id,
                          delta * kForwardHeaderBytes,
                          "fed:delta:" + room_id));
-    Quiesce();
+    loop_.Drain();
     Result<net::SendState> delta_state =
         transport_->StateOf(delta_handle.id);
     if (!delta_state.ok() || *delta_state != net::SendState::kAcked) {
@@ -452,54 +440,6 @@ Status FederatedInteractionTier::AbortMigration(const std::string& room_id) {
     return Status::NotFound("room \"" + room_id + "\" is not migrating");
   }
   return Status::OK();
-}
-
-void FederatedInteractionTier::Quiesce() {
-  while (transport_->in_flight() > 0 || network_->pending() > 0) {
-    std::vector<net::Delivery> batch = transport_->AdvanceUntilIdle();
-    for (const net::Delivery& delivery : batch) {
-      for (Node& node : nodes_) {
-        if (node.server->RouteDelivery(delivery)) break;
-      }
-    }
-    if (batch.empty()) break;  // failure callbacks sent nothing new
-  }
-  for (Node& node : nodes_) node.server->ObserveStreamAcks();
-}
-
-Result<std::vector<net::Delivery>> FederatedInteractionTier::Settle() {
-  std::vector<net::Delivery> passthrough;
-  while (true) {
-    MicrosT now = network_->clock()->NowMicros();
-    MicrosT wake = -1;
-    for (Node& node : nodes_) {
-      MicrosT at = node.server->NextStreamActionAt(now);
-      if (at >= 0 && (wake < 0 || at < wake)) wake = at;
-    }
-    std::vector<net::Delivery> batch = wake >= 0
-                                           ? transport_->AdvanceTo(wake)
-                                           : transport_->AdvanceUntilIdle();
-    for (net::Delivery& delivery : batch) {
-      bool consumed = false;
-      for (Node& node : nodes_) {
-        if (node.server->RouteDelivery(delivery)) {
-          consumed = true;
-          break;
-        }
-      }
-      if (!consumed) passthrough.push_back(std::move(delivery));
-    }
-    size_t sent = 0;
-    for (Node& node : nodes_) {
-      node.server->ObserveStreamAcks();
-      sent += node.server->PumpStreams(network_->clock()->NowMicros());
-    }
-    if (wake < 0 && batch.empty() && sent == 0 &&
-        transport_->in_flight() == 0 && network_->pending() == 0) {
-      break;
-    }
-  }
-  return passthrough;
 }
 
 std::vector<NodeLoad> FederatedInteractionTier::Loads() {

@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/interaction_server.h"
+#include "sim/loop.h"
 #include "storage/object_store.h"
 
 namespace mmconf::federation {
@@ -69,10 +70,14 @@ struct MigrationReport {
 /// before the cutover. All nodes share one ObjectStore (typically the
 /// durable ShardedDatabaseServer facade) and one ReliableTransport.
 ///
-/// Like every subsystem here the tier owns no threads: it is pumped via
-/// Settle(), which drives the shared transport and every node's stream
-/// schedulers (no single node's server may pump a shared transport —
-/// it would swallow the other nodes' deliveries).
+/// Like every subsystem here the tier owns no threads. It owns the
+/// shared transport and the one sim::Loop that pumps it, with every
+/// node's server registered by index; whatever else rides the transport
+/// (a BroadcastDirector's sessions, a ReplicatedShardSet) registers on
+/// the same loop after them. loop()->Settle() drives the whole stack to
+/// quiescence and returns the deliveries no participant consumed
+/// (presentation deltas, broadcasts, forwarded requests) in arrival
+/// order; see sim::Loop for the order contract.
 class FederatedInteractionTier {
  public:
   /// Creates `options.num_nodes` interaction nodes on `network` (named
@@ -91,6 +96,8 @@ class FederatedInteractionTier {
   server::InteractionServer* node(size_t i) { return nodes_[i].server.get(); }
   net::NodeId node_net(size_t i) const { return nodes_[i].net_id; }
   net::ReliableTransport* transport() { return transport_.get(); }
+  /// The drive loop of everything on the shared transport.
+  sim::Loop* loop() { return &loop_; }
   const RoomPlacement& placement() const { return placement_; }
 
   /// Links `client` to every interaction node (duplex), so the front
@@ -149,7 +156,8 @@ class FederatedInteractionTier {
   /// migrating.
   Status StartMigration(const std::string& room_id, size_t target_node);
 
-  /// Stage 2: settles the transport; aborts (room intact on the source)
+  /// Stage 2: drains the transport (sim::Loop::Drain, so live streams
+  /// stop at a chunk boundary); aborts (room intact on the source)
   /// if the state transfer failed — e.g. the target was partitioned
   /// mid-migration. Otherwise replays the full log on the target,
   /// verifies byte-identical convergence (Room::Serialize equality)
@@ -167,20 +175,6 @@ class FederatedInteractionTier {
   bool Migrating(const std::string& room_id) const {
     return migrations_.count(room_id) > 0;
   }
-
-  /// Drives the shared transport until idle, pumping every node's
-  /// stream schedulers and routing chunk deliveries to their owners;
-  /// returns the non-stream deliveries (presentation deltas, broadcasts,
-  /// forwarded requests) in arrival order.
-  Result<std::vector<net::Delivery>> Settle();
-
-  /// Routes one transport delivery-failure to the node that sent the
-  /// failed message (the tier's own failure-callback body). Public so a
-  /// co-driver sharing the transport — e.g. the broadcast director in
-  /// src/fanout/, whose relay traffic the tier knows nothing about —
-  /// can install a wrapping callback that handles its own tags first
-  /// and forwards everything else here.
-  void DispatchFailure(const net::FailedMessage& failure);
 
   /// Invoked at the end of every successful FinishMigration, after the
   /// "fed:rebind" broadcast is queued: (room_id, from_node, to_node).
@@ -234,13 +228,6 @@ class FederatedInteractionTier {
   Status Forward(size_t from_node, size_t to_node, size_t bytes,
                  std::string tag);
 
-  /// Drains every in-flight message (ack or retry-budget failure)
-  /// WITHOUT pumping the stream schedulers: no new chunks are admitted,
-  /// so a mid-stream room quiesces at a chunk boundary instead of
-  /// playing out to the end. This is what migration uses — Settle()
-  /// would finish the very streams it is trying to carry over.
-  void Quiesce();
-
   /// Registers an opened room: pristine document bytes + obs refresh.
   void TrackRoom(const std::string& room_id, Bytes pristine);
 
@@ -249,6 +236,7 @@ class FederatedInteractionTier {
   net::NodeId db_node_;
   FederationOptions options_;
   std::unique_ptr<net::ReliableTransport> transport_;
+  sim::Loop loop_;
   std::vector<Node> nodes_;
   RoomPlacement placement_;
   /// Open rooms -> the pristine encoded document they were opened on

@@ -203,10 +203,14 @@ Result<Image> Image::Decode(const Bytes& bytes) {
   MMCONF_ASSIGN_OR_RETURN(int32_t width, r.GetI32());
   MMCONF_ASSIGN_OR_RETURN(int32_t height, r.GetI32());
   MMCONF_ASSIGN_OR_RETURN(int32_t next_id, r.GetI32());
+  // Bound the pixel count by the bytes actually present before
+  // allocating: a flipped dimension must not become a huge allocation.
+  size_t n = width > 0 && height > 0
+                 ? static_cast<size_t>(width) * static_cast<size_t>(height)
+                 : 0;
+  if (r.remaining() < n) return Status::Corruption("truncated image pixels");
   MMCONF_ASSIGN_OR_RETURN(Image img, Image::Create(width, height));
   img.next_element_id_ = next_id;
-  size_t n = static_cast<size_t>(width) * height;
-  if (r.remaining() < n) return Status::Corruption("truncated image pixels");
   for (size_t i = 0; i < n; ++i) {
     MMCONF_ASSIGN_OR_RETURN(img.pixels_[i], r.GetU8());
   }

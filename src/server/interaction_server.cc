@@ -84,13 +84,8 @@ InteractionServer::RoomObs& InteractionServer::ObsFor(
 }
 
 void InteractionServer::UseReliableTransport(
-    net::ReliableTransport* transport, bool install_failure_callback) {
+    net::ReliableTransport* transport) {
   transport_ = transport;
-  if (transport_ != nullptr && install_failure_callback) {
-    transport_->SetFailureCallback([this](const net::FailedMessage& failure) {
-      HandleDeliveryFailure(failure);
-    });
-  }
 }
 
 Result<MicrosT> InteractionServer::Ship(net::NodeId from, net::NodeId to,
@@ -109,13 +104,12 @@ Result<MicrosT> InteractionServer::Ship(net::NodeId from, net::NodeId to,
   return handle.first_attempt_eta;
 }
 
-void InteractionServer::HandleDeliveryFailure(
-    const net::FailedMessage& failure) {
+bool InteractionServer::OnFailure(const net::FailedMessage& failure) {
   auto tracked = msg_room_.find(failure.id);
-  if (tracked == msg_room_.end() || failure.from != server_node_) return;
+  if (tracked == msg_room_.end() || failure.from != server_node_) return false;
   const std::string room_id = tracked->second;
   auto room_it = rooms_.find(room_id);
-  if (room_it == rooms_.end()) return;
+  if (room_it == rooms_.end()) return true;
   Room* room = room_it->second.get();
   std::map<std::string, net::NodeId>& members = endpoints_[room_id];
   std::string viewer;
@@ -125,7 +119,7 @@ void InteractionServer::HandleDeliveryFailure(
       break;
     }
   }
-  if (viewer.empty()) return;  // already evicted by an earlier failure
+  if (viewer.empty()) return true;  // already evicted by an earlier failure
   members.erase(viewer);
   ++room_stats_[room_id].evictions;
   if (m_evictions_ != nullptr) m_evictions_->Add();
@@ -137,6 +131,7 @@ void InteractionServer::HandleDeliveryFailure(
   // the resulting reconfiguration (reliably, so it retries too).
   Result<ReconfigResult> result = room->Leave(viewer);
   if (result.ok()) Propagate(room, *result, viewer).ok();
+  return true;
 }
 
 void InteractionServer::SettleRoomMessages(const std::string& room_id) {
@@ -547,92 +542,6 @@ Result<stream::StreamId> InteractionServer::OpenStream(
   return id;
 }
 
-Result<std::vector<net::Delivery>> InteractionServer::AdvanceStreams(
-    MicrosT t) {
-  if (transport_ == nullptr) {
-    return Status::FailedPrecondition("streaming needs a reliable transport");
-  }
-  std::vector<net::Delivery> passthrough;
-  while (true) {
-    MicrosT now = network_->clock()->NowMicros();
-    size_t sent = 0;
-    for (auto& [room, scheduler] : stream_schedulers_) {
-      scheduler->ObserveAcks();
-      sent += scheduler->Pump(now);
-    }
-    MicrosT wake = -1;
-    for (auto& [room, scheduler] : stream_schedulers_) {
-      MicrosT at = scheduler->NextActionAt(now);
-      if (at >= 0 && (wake < 0 || at < wake)) wake = at;
-    }
-    MicrosT step = t;
-    if (wake >= 0 && wake < step) step = wake;
-    if (step < now) step = now;
-    std::vector<net::Delivery> batch = transport_->AdvanceTo(step);
-    for (net::Delivery& delivery : batch) {
-      bool consumed = false;
-      for (auto& [room, scheduler] : stream_schedulers_) {
-        if (scheduler->OnDelivery(delivery)) {
-          consumed = true;
-          break;
-        }
-      }
-      if (!consumed) passthrough.push_back(std::move(delivery));
-    }
-    MicrosT after = network_->clock()->NowMicros();
-    bool progressed = sent > 0 || !batch.empty() || after > now;
-    if (after >= t && !progressed) break;
-  }
-  return passthrough;
-}
-
-Result<std::vector<net::Delivery>>
-InteractionServer::AdvanceStreamsUntilIdle() {
-  if (transport_ == nullptr) {
-    return Status::FailedPrecondition("streaming needs a reliable transport");
-  }
-  std::vector<net::Delivery> passthrough;
-  while (true) {
-    MicrosT now = network_->clock()->NowMicros();
-    MicrosT wake = -1;
-    for (auto& [room, scheduler] : stream_schedulers_) {
-      MicrosT at = scheduler->NextActionAt(now);
-      if (at >= 0 && (wake < 0 || at < wake)) wake = at;
-    }
-    if (wake >= 0) {
-      MMCONF_ASSIGN_OR_RETURN(std::vector<net::Delivery> batch,
-                              AdvanceStreams(wake));
-      passthrough.insert(passthrough.end(),
-                         std::make_move_iterator(batch.begin()),
-                         std::make_move_iterator(batch.end()));
-      continue;
-    }
-    // No timer pending: only wire arrivals / retransmissions can make
-    // progress. Drain the transport, then let the schedulers react.
-    std::vector<net::Delivery> batch = transport_->AdvanceUntilIdle();
-    size_t sent = 0;
-    for (net::Delivery& delivery : batch) {
-      bool consumed = false;
-      for (auto& [room, scheduler] : stream_schedulers_) {
-        if (scheduler->OnDelivery(delivery)) {
-          consumed = true;
-          break;
-        }
-      }
-      if (!consumed) passthrough.push_back(std::move(delivery));
-    }
-    for (auto& [room, scheduler] : stream_schedulers_) {
-      scheduler->ObserveAcks();
-      sent += scheduler->Pump(network_->clock()->NowMicros());
-    }
-    if (batch.empty() && sent == 0 && transport_->in_flight() == 0 &&
-        network_->pending() == 0) {
-      break;
-    }
-  }
-  return passthrough;
-}
-
 Result<stream::StreamStats> InteractionServer::StreamSessionStats(
     stream::StreamId id) const {
   auto tracked = stream_room_.find(id);
@@ -745,21 +654,7 @@ Status InteractionServer::AdoptStream(const std::string& room_id,
   return Status::OK();
 }
 
-void InteractionServer::ObserveStreamAcks() {
-  for (auto& [room, scheduler] : stream_schedulers_) {
-    scheduler->ObserveAcks();
-  }
-}
-
-size_t InteractionServer::PumpStreams(MicrosT now) {
-  size_t sent = 0;
-  for (auto& [room, scheduler] : stream_schedulers_) {
-    sent += scheduler->Pump(now);
-  }
-  return sent;
-}
-
-MicrosT InteractionServer::NextStreamActionAt(MicrosT now) const {
+MicrosT InteractionServer::NextActionAt(MicrosT now) const {
   MicrosT next = -1;
   for (const auto& [room, scheduler] : stream_schedulers_) {
     MicrosT at = scheduler->NextActionAt(now);
@@ -768,11 +663,22 @@ MicrosT InteractionServer::NextStreamActionAt(MicrosT now) const {
   return next;
 }
 
-bool InteractionServer::RouteDelivery(const net::Delivery& delivery) {
+bool InteractionServer::Offer(const net::Delivery& delivery) {
   for (auto& [room, scheduler] : stream_schedulers_) {
     if (scheduler->OnDelivery(delivery)) return true;
   }
   return false;
+}
+
+Result<size_t> InteractionServer::Pump(MicrosT now) {
+  for (auto& [room, scheduler] : stream_schedulers_) {
+    scheduler->ObserveAcks();
+  }
+  size_t sent = 0;
+  for (auto& [room, scheduler] : stream_schedulers_) {
+    sent += scheduler->Pump(now);
+  }
+  return sent;
 }
 
 Status InteractionServer::AttachClientCache(const std::string& room_id,

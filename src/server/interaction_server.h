@@ -17,6 +17,7 @@
 #include "obs/trace.h"
 #include "prefetch/cache.h"
 #include "server/room.h"
+#include "sim/loop.h"
 #include "storage/object_store.h"
 #include "stream/scheduler.h"
 
@@ -51,7 +52,13 @@ struct RoomReliabilityStats {
 /// Documents live in the database as BLOBs (type "Document"); rooms hold
 /// decoded working copies; presentation changes are propagated over the
 /// simulated network with only the changed components' bytes.
-class InteractionServer {
+///
+/// Over a ReliableTransport the server is a sim::Participant: a
+/// sim::Loop pumps its stream schedulers, hands it their chunk traffic
+/// and routes it the delivery failures of its propagation messages. The
+/// server never pumps the transport itself, so any number of servers
+/// (and other participants) can share one.
+class InteractionServer : public sim::Participant {
  public:
   /// `db` and `network` must outlive the server. `db` is any
   /// ObjectStore implementation — a single DatabaseServer or the
@@ -70,20 +77,11 @@ class InteractionServer {
   /// longer evicted on the first failed send: messages are retried with
   /// backoff, and only when the retry budget is exhausted does the
   /// server evict the unreachable member and re-optimize for the
-  /// survivors. Installs the transport's failure callback unless
-  /// `install_failure_callback` is false — a federation tier sharing one
-  /// transport between several servers installs its own dispatcher and
-  /// routes each failure to the owning server's HandleDeliveryFailure.
-  void UseReliableTransport(net::ReliableTransport* transport,
-                            bool install_failure_callback = true);
+  /// survivors — which takes a sim::Loop on the transport with this
+  /// server registered (the loop owns the failure callback).
+  void UseReliableTransport(net::ReliableTransport* transport);
   net::ReliableTransport* transport() const { return transport_; }
   net::NodeId server_node() const { return server_node_; }
-
-  /// Transport failure entry point: evicts the member behind the dead
-  /// link from the message's room and propagates the re-optimization.
-  /// Wired as the transport callback by UseReliableTransport; called
-  /// directly by a federation tier's shared-transport dispatcher.
-  void HandleDeliveryFailure(const net::FailedMessage& failure);
 
   /// Reliability counters for a room (zeroed when no transport is set).
   /// Querying settles completed messages: retries and convergence time
@@ -196,16 +194,6 @@ class InteractionServer {
                                       const std::vector<Bytes>& objects,
                                       stream::StreamOptions options);
 
-  /// Drives every room's stream scheduler and the shared transport up to
-  /// virtual time `t`. Non-stream deliveries that arrived while pumping
-  /// (presentation deltas, broadcasts, acks of other traffic) are passed
-  /// through to the caller, exactly like ReliableTransport::AdvanceTo.
-  Result<std::vector<net::Delivery>> AdvanceStreams(MicrosT t);
-
-  /// Pumps until every open stream has finished (or aborted) and the
-  /// transport has no stream traffic left.
-  Result<std::vector<net::Delivery>> AdvanceStreamsUntilIdle();
-
   /// Delivery/quality counters of one stream.
   Result<stream::StreamStats> StreamSessionStats(stream::StreamId id) const;
   /// All streams of a room, for export next to RoomStats.
@@ -233,18 +221,18 @@ class InteractionServer {
                      const stream::StreamCarryover& carry,
                      MicrosT deadline_shift);
 
-  /// --- Shared-transport pumping primitives (federation) ---
-  /// When several servers share one ReliableTransport, no single server
-  /// may pump it (AdvanceStreams would swallow the other servers'
-  /// deliveries). The tier owns the pump loop and uses these to drive
-  /// each server's schedulers and to offer every delivery to each server
-  /// in turn.
-  void ObserveStreamAcks();
-  size_t PumpStreams(MicrosT now);
-  MicrosT NextStreamActionAt(MicrosT now) const;
+  /// --- sim::Participant ---
+  /// Earliest deadline or pacing slot of any room's stream scheduler.
+  MicrosT NextActionAt(MicrosT now) const override;
   /// True when the delivery was consumed as a chunk of one of this
   /// server's streams.
-  bool RouteDelivery(const net::Delivery& delivery);
+  bool Offer(const net::Delivery& delivery) override;
+  /// Folds stream acks and sends every chunk due at `now`.
+  Result<size_t> Pump(MicrosT now) override;
+  /// Claims the failure of a propagation message this server sent:
+  /// evicts the member behind the dead link from the message's room and
+  /// propagates the re-optimization to the survivors.
+  bool OnFailure(const net::FailedMessage& failure) override;
 
   /// Registers a member's client-side buffer so the server can observe
   /// prefetch hits/misses/evictions per room and budget streaming

@@ -356,6 +356,11 @@ void ReplicatedShardSet::ApplyBatch(size_t shard_index, Follower& follower,
   }
 }
 
+Result<size_t> ReplicatedShardSet::Pump(MicrosT /*now*/) {
+  MMCONF_ASSIGN_OR_RETURN(ShipReport shipped, Ship());
+  return shipped.batches + shipped.snapshots;
+}
+
 bool ReplicatedShardSet::HandleDelivery(const net::Delivery& delivery) {
   if (delivery.tag != kBatchTag && delivery.tag != kSnapTag) return false;
   auto it = node_index_.find(delivery.to);

@@ -17,6 +17,7 @@
 #include "net/reliable.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/loop.h"
 #include "storage/object_store.h"
 #include "storage/sharded_db.h"
 #include "storage/wal.h"
@@ -100,12 +101,12 @@ struct ReplicationLag {
 /// surviving prefix must be disowned); each epoch starts with a
 /// "repl.snap" carrying the image the epoch's log replays on top of.
 ///
-/// The transport is shared with whatever else pumps the network (the
-/// federation tier in the chaos stack): callers forward the unconsumed
-/// passthrough deliveries from their settle loop into HandleDelivery
-/// and call Ship() afterwards to fold acks and send newly committed
-/// batches.
-class ReplicatedShardSet {
+/// The transport is shared with whatever else rides the network (the
+/// federation tier in the chaos stack). As a sim::Participant on the
+/// transport's sim::Loop, the set is offered every delivery
+/// (HandleDelivery) and Shipped on every pump; a caller stepping the
+/// transport by hand calls the two itself.
+class ReplicatedShardSet : public sim::Participant {
  public:
   /// `primary`, `transport` and `clock` must outlive the set. Follower
   /// nodes and duplex links are created on `transport`'s network at
@@ -125,14 +126,29 @@ class ReplicatedShardSet {
 
   /// Folds acks, ships every fully group-committed batch not yet handed
   /// to the transport, and checkpoints shards whose acked log exceeds
-  /// the threshold. Call between settle rounds; idempotent when there
-  /// is nothing to do (report all zeros).
+  /// the threshold. A sim::Loop calls it on every pump (see Pump);
+  /// idempotent when there is nothing to do (report all zeros).
   Result<ShipReport> Ship();
 
   /// Routes one transport passthrough delivery. Returns true when the
   /// delivery was replication traffic (consumed), false to let the
   /// caller keep routing it.
   bool HandleDelivery(const net::Delivery& delivery);
+
+  /// --- sim::Participant ---
+  /// Replication keeps no timers: it ships whenever it is pumped.
+  MicrosT NextActionAt(MicrosT /*now*/) const override { return -1; }
+  bool Offer(const net::Delivery& delivery) override {
+    return HandleDelivery(delivery);
+  }
+  /// Ship(); returns the batches plus snapshots it handed to the
+  /// transport. A Ship error fails the drive.
+  Result<size_t> Pump(MicrosT now) override;
+  /// Failed sends are folded by Ship (the follower resyncs); none is
+  /// claimed here.
+  bool OnFailure(const net::FailedMessage& /*failure*/) override {
+    return false;
+  }
 
   /// Promotes `follower` to primary for `shard` after the primary
   /// machine (db + WAL + checkpoint) is lost: replays the follower's

@@ -102,22 +102,6 @@ void ChaosDriver::SkipEvent(const WorkloadEvent& event, const Status& status,
   }
 }
 
-Status ChaosDriver::SettleStack() {
-  while (true) {
-    MMCONF_ASSIGN_OR_RETURN(std::vector<net::Delivery> drained,
-                            director_->Settle());
-    if (repl_ == nullptr) return Status::OK();
-    size_t consumed = 0;
-    for (const net::Delivery& delivery : drained) {
-      if (repl_->HandleDelivery(delivery)) ++consumed;
-    }
-    MMCONF_ASSIGN_OR_RETURN(storage::ShipReport shipped, repl_->Ship());
-    if (consumed == 0 && shipped.batches == 0 && shipped.snapshots == 0) {
-      return Status::OK();
-    }
-  }
-}
-
 Status ChaosDriver::RunEvent(const WorkloadEvent& event,
                              ChaosReport& report) {
   switch (event.kind) {
@@ -342,7 +326,7 @@ Status ChaosDriver::RunEvent(const WorkloadEvent& event,
       // primary group-committed AND a follower acknowledged. Settling to
       // quiescence makes those two sets equal, so the invariant below
       // can demand byte-exactness rather than a bounded gap.
-      MMCONF_RETURN_IF_ERROR(SettleStack());
+      MMCONF_RETURN_IF_ERROR(tier_->loop()->Settle().status());
       // Control: what a never-crashed replica holds — the checkpoint
       // image plus the primary's durable (group-committed) log.
       storage::DatabaseServer control;
@@ -389,7 +373,7 @@ Status ChaosDriver::RunEvent(const WorkloadEvent& event,
       }
       // Resync the remaining followers behind the new primary (the
       // promotion began a fresh epoch).
-      return SettleStack();
+      return tier_->loop()->Settle().status();
     }
   }
   return Status::InvalidArgument("unknown event kind");
@@ -511,6 +495,7 @@ Result<ChaosReport> ChaosDriver::Run(const WorkloadTrace& trace) {
     repl_options.checkpoint_log_bytes = options_.replication_checkpoint_bytes;
     repl_ = std::make_unique<storage::ReplicatedShardSet>(
         db_.get(), tier_->transport(), &clock_, db_node_, repl_options);
+    tier_->loop()->Register(repl_.get());
   }
   injector_ = std::make_unique<storage::WalCrashInjector>(trace.seed);
   media_rng_ = Rng(trace.seed ^ 0x6d656469615f726eull);
@@ -542,7 +527,7 @@ Result<ChaosReport> ChaosDriver::Run(const WorkloadTrace& trace) {
   MicrosT batch_at = -1;
   for (const WorkloadEvent& event : trace.events) {
     if (event.at != batch_at) {
-      MMCONF_RETURN_IF_ERROR(SettleStack());
+      MMCONF_RETURN_IF_ERROR(tier_->loop()->Settle().status());
       clock_.AdvanceTo(event.at);
       batch_at = event.at;
     }
@@ -553,7 +538,7 @@ Result<ChaosReport> ChaosDriver::Run(const WorkloadTrace& trace) {
       SkipEvent(event, status, report);
     }
   }
-  MMCONF_RETURN_IF_ERROR(SettleStack());
+  MMCONF_RETURN_IF_ERROR(tier_->loop()->Settle().status());
   CheckInvariants(report);
   return report;
 }

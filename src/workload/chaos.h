@@ -49,9 +49,10 @@ struct ChaosOptions {
   size_t max_skip_samples = 5;
   /// Followers per primary shard. 0 (the default) runs without
   /// replication — existing traces and reports stay byte-identical.
-  /// With followers, every shard's WAL is shipped between settle
-  /// rounds, kNodeLoss events promote a follower, and kShardCrash
-  /// recovery becomes checkpoint-aware (storage::ReplicatedShardSet).
+  /// With followers, the replica set rides the tier's sim::Loop and
+  /// every shard's WAL is shipped on each loop step, kNodeLoss events
+  /// promote a follower, and kShardCrash recovery becomes
+  /// checkpoint-aware (storage::ReplicatedShardSet).
   size_t replication_followers = 0;
   /// Checkpoint/compaction threshold handed to the replica set. Small
   /// by default so smoke-length runs exercise compaction + resync.
@@ -189,13 +190,6 @@ class ChaosDriver {
   void SkipEvent(const WorkloadEvent& event, const Status& status,
                  ChaosReport& report);
   void CheckInvariants(ChaosReport& report);
-
-  /// Settles the whole stack to quiescence: pumps the director/tier
-  /// settle loop, forwards replication passthrough deliveries into the
-  /// replica set and ships newly committed batches, repeating until a
-  /// round neither consumes nor produces replication traffic. With
-  /// replication off this is a single director settle.
-  Status SettleStack();
 
   ChaosOptions options_;
   obs::MetricsRegistry owned_metrics_;

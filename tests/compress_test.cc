@@ -491,6 +491,21 @@ TEST_F(CodecTest, InspectRejectsCorruptHeader) {
   EXPECT_TRUE(LayeredCodec::Inspect(stream).status().IsCorruption());
 }
 
+TEST_F(CodecTest, InspectRejectsOversizedDimensions) {
+  LayeredCodec codec;
+  Bytes stream = codec.Encode(image_).value();
+  // Width and height follow the 4-byte magic, little-endian i32 each.
+  // 262144 x 262144 would make Decode allocate 256 GiB planes.
+  for (size_t offset : {4u, 8u}) {
+    stream[offset] = 0x00;
+    stream[offset + 1] = 0x00;
+    stream[offset + 2] = 0x04;
+    stream[offset + 3] = 0x00;
+  }
+  EXPECT_TRUE(LayeredCodec::Inspect(stream).status().IsCorruption());
+  EXPECT_TRUE(LayeredCodec::Decode(stream, -1).status().IsCorruption());
+}
+
 TEST_F(CodecTest, TruncatedStreamRejected) {
   LayeredCodec codec;
   Bytes stream = codec.Encode(image_).value();

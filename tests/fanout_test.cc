@@ -20,6 +20,7 @@
 #include "net/network.h"
 #include "net/reliable.h"
 #include "obs/metrics.h"
+#include "sim/loop.h"
 #include "storage/database.h"
 
 namespace mmconf::fanout {
@@ -447,6 +448,8 @@ TEST_F(BroadcastSessionTest, TreeBeatsUnicastAndNoBaseDropsUnderLoss) {
   obs::MetricsRegistry metrics;
   BroadcastSession session(network_.get(), transport_.get(), origin_,
                            "lecture", SmallBroadcast());
+  sim::Loop loop(transport_.get());
+  loop.Register(&session);
   session.SetObserver(&metrics, nullptr);
   EXPECT_TRUE(session.PushFrame(images_, tracks_).IsFailedPrecondition());
   ASSERT_TRUE(session.OpenAudience(200).ok());
@@ -467,7 +470,7 @@ TEST_F(BroadcastSessionTest, TreeBeatsUnicastAndNoBaseDropsUnderLoss) {
 
   for (int frame = 0; frame < 3; ++frame) {
     ASSERT_TRUE(session.PushFrame(images_, tracks_).ok());
-    ASSERT_TRUE(session.Settle().ok());
+    ASSERT_TRUE(loop.Settle().ok());
   }
 
   BroadcastStats stats = session.Stats();
@@ -501,13 +504,15 @@ TEST_F(BroadcastSessionTest, TreeBeatsUnicastAndNoBaseDropsUnderLoss) {
 TEST_F(BroadcastSessionTest, DeadTreeLinkReparentsAndReplaysHistory) {
   BroadcastSession session(network_.get(), transport_.get(), origin_,
                            "lecture", SmallBroadcast());
+  sim::Loop loop(transport_.get());
+  loop.Register(&session);
   ASSERT_TRUE(session.OpenAudience(200).ok());  // 4 edges, binary spine
   net::FaultSpec clean;
   net::NodeId viewer =
       session.AdmitSampledViewer(BandwidthLevel::kHigh, {1e6, 20000}, clean)
           .value();
   ASSERT_TRUE(session.PushFrame(images_, tracks_).ok());
-  ASSERT_TRUE(session.Settle().ok());
+  ASSERT_TRUE(loop.Settle().ok());
   ASSERT_EQ(session.ViewerStats(viewer).value().frames_delivered, 1u);
 
   // Hard-partition the link feeding the viewer's edge relay. The next
@@ -517,9 +522,9 @@ TEST_F(BroadcastSessionTest, DeadTreeLinkReparentsAndReplaysHistory) {
   net::NodeId parent = session.tree()->ParentOf(edge).value();
   network_->Partition(parent, edge);
   ASSERT_TRUE(session.PushFrame(images_, tracks_).ok());
-  ASSERT_TRUE(session.Settle().ok());
+  ASSERT_TRUE(loop.Settle().ok());
   ASSERT_TRUE(session.PushFrame(images_, tracks_).ok());
-  ASSERT_TRUE(session.Settle().ok());
+  ASSERT_TRUE(loop.Settle().ok());
 
   BroadcastStats stats = session.Stats();
   EXPECT_GE(stats.rebuilds, 1u);
@@ -587,7 +592,7 @@ TEST_F(BroadcastMigrationTest, LiveBroadcastSurvivesRoomMigration) {
                               doc::MakeMedicalRecordDocument().value())
       .value();
   tier_->Join(room_id, {"dr-lecturer", speaker_client_}).value();
-  ASSERT_TRUE(director_->Settle().ok());
+  ASSERT_TRUE(tier_->loop()->Settle().ok());
 
   BroadcastSession* session =
       director_->HostBroadcast(room_id, 100, SmallBroadcast()).value();
@@ -607,7 +612,7 @@ TEST_F(BroadcastMigrationTest, LiveBroadcastSurvivesRoomMigration) {
 
   ASSERT_TRUE(director_->PushFrame(room_id).ok());
   ASSERT_TRUE(director_->PushFrame(room_id).ok());
-  ASSERT_TRUE(director_->Settle().ok());
+  ASSERT_TRUE(tier_->loop()->Settle().ok());
   size_t delivered_before =
       session->ViewerStats(viewer).value().frames_delivered;
   EXPECT_EQ(delivered_before, 2u);
@@ -624,7 +629,7 @@ TEST_F(BroadcastMigrationTest, LiveBroadcastSurvivesRoomMigration) {
 
   ASSERT_TRUE(director_->PushFrame(room_id).ok());
   ASSERT_TRUE(director_->PushFrame(room_id).ok());
-  ASSERT_TRUE(director_->Settle().ok());
+  ASSERT_TRUE(tier_->loop()->Settle().ok());
 
   // The viewer's stream kept flowing across the cutover: every frame
   // before and after the move resolved, none lost a base chunk.
@@ -659,14 +664,14 @@ TEST_F(BroadcastMigrationTest, FailedMigrationResumesAtTheOldOrigin) {
                               doc::MakeMedicalRecordDocument().value())
       .value();
   tier_->Join(room_id, {"dr-lecturer", speaker_client_}).value();
-  ASSERT_TRUE(director_->Settle().ok());
+  ASSERT_TRUE(tier_->loop()->Settle().ok());
   BroadcastSession* session =
       director_->HostBroadcast(room_id, 60, SmallBroadcast()).value();
   ASSERT_TRUE(director_->RegisterImage(room_id, "CT", ct_).ok());
   ASSERT_TRUE(
       director_->RegisterSpeaker(room_id, 1, voice_, segments_).ok());
   ASSERT_TRUE(director_->PushFrame(room_id).ok());
-  ASSERT_TRUE(director_->Settle().ok());
+  ASSERT_TRUE(tier_->loop()->Settle().ok());
 
   // The target node is unreachable: the migration fails, the room stays
   // on its source, and the broadcast resumes from the old origin.
@@ -676,7 +681,7 @@ TEST_F(BroadcastMigrationTest, FailedMigrationResumesAtTheOldOrigin) {
   EXPECT_EQ(session->origin(), tier_->node_net(0));
   EXPECT_FALSE(session->paused());
   ASSERT_TRUE(director_->PushFrame(room_id).ok());
-  ASSERT_TRUE(director_->Settle().ok());
+  ASSERT_TRUE(tier_->loop()->Settle().ok());
   EXPECT_EQ(session->Stats().frames, 2u);
 }
 

@@ -136,7 +136,7 @@ TEST_F(FederationTest, FrontDoorAdmitsClientsToTheOwningNode) {
   size_t admit_before =
       network_->BytesSent(tier_->node_net(0), tier_->node_net(2));
   tier_->Join(room_id, {"dr-cohen", client1_}).value();
-  tier_->Settle().value();
+  tier_->loop()->Settle().value();
   // Only the owning node has the room; the admit hop crossed the
   // front door -> owner backbone link.
   EXPECT_TRUE(tier_->node(2)->GetRoom(room_id).ok());
@@ -183,7 +183,7 @@ TEST_F(FederationTest, CrossNodePropagateMatchesSingleServer) {
   solo.ApplyOperation(room_id, op, /*globally_important=*/true).value();
   solo.SubmitChoice(room_id, "dr-cohen", "CT", "").value();
 
-  tier_->Settle().value();
+  tier_->loop()->Settle().value();
   network_->AdvanceUntilIdle();
   EXPECT_EQ((*tier_->GetRoom(room_id))->Serialize(),
             (*solo.GetRoom(room_id))->Serialize());
@@ -202,7 +202,7 @@ TEST_F(FederationTest, MigrationReplaysStateByteIdentically) {
   op.component = "XRay";
   tier_->ApplyOperation(room_id, op, /*globally_important=*/false).value();
   ASSERT_TRUE((*tier_->GetRoom(room_id))->Freeze("dr-cohen", "CT").ok());
-  tier_->Settle().value();
+  tier_->loop()->Settle().value();
 
   Bytes before = (*tier_->GetRoom(room_id))->Serialize();
   MigrationReport report = tier_->MigrateRoom(room_id, 1).value();
@@ -228,7 +228,7 @@ TEST_F(FederationTest, MigrationReplaysStateByteIdentically) {
       .status()
       .ok();
   EXPECT_TRUE((*tier_->GetRoom(room_id))->ReleaseFreeze("dr-cohen", "CT").ok());
-  tier_->Settle().value();
+  tier_->loop()->Settle().value();
 }
 
 TEST_F(FederationTest, ActionsDuringMigrationLandInTheDelta) {
@@ -236,7 +236,7 @@ TEST_F(FederationTest, ActionsDuringMigrationLandInTheDelta) {
   tier_->OpenRoomWithDocument(room_id, MakeMedicalRecordDocument().value())
       .value();
   tier_->Join(room_id, {"dr-cohen", client1_}).value();
-  tier_->Settle().value();
+  tier_->loop()->Settle().value();
 
   ASSERT_TRUE(tier_->StartMigration(room_id, 2).ok());
   EXPECT_TRUE(tier_->Migrating(room_id));
@@ -258,7 +258,7 @@ TEST_F(FederationTest, ActionsDuringMigrationLandInTheDelta) {
                 .name,
             "hidden");
   // A second migration of the same room also works (pin -> pin).
-  tier_->Settle().value();
+  tier_->loop()->Settle().value();
   EXPECT_EQ(tier_->MigrateRoom(room_id, 0).value().to_node, 0u);
   EXPECT_EQ(tier_->NodeOf(room_id).value(), 0u);
 }
@@ -269,7 +269,7 @@ TEST_F(FederationTest, NodeLossDuringMigrationLeavesRoomIntactOnSource) {
       .value();
   tier_->Join(room_id, {"dr-cohen", client1_}).value();
   tier_->SubmitChoice(room_id, "dr-cohen", "CT", "hidden").value();
-  tier_->Settle().value();
+  tier_->loop()->Settle().value();
   Bytes before = (*tier_->GetRoom(room_id))->Serialize();
 
   ASSERT_TRUE(tier_->StartMigration(room_id, 1).ok());
@@ -285,7 +285,7 @@ TEST_F(FederationTest, NodeLossDuringMigrationLeavesRoomIntactOnSource) {
   EXPECT_TRUE(tier_->node(1)->GetRoom(room_id).status().IsNotFound());
   EXPECT_EQ((*tier_->GetRoom(room_id))->Serialize(), before);
   tier_->SubmitChoice(room_id, "dr-cohen", "XRay", "flat").value();
-  tier_->Settle().value();
+  tier_->loop()->Settle().value();
 
   // Heal the backbone and the migration goes through, delta included.
   ASSERT_TRUE(network_
@@ -318,7 +318,7 @@ TEST_F(FederationTest, LiveStreamsMigrateWithTheRoom) {
   tier_->OpenRoomWithDocument(room_id, MakeMedicalRecordDocument().value())
       .value();
   tier_->Join(room_id, {"dr-cohen", client1_}).value();
-  tier_->Settle().value();
+  tier_->loop()->Settle().value();
 
   stream::StreamOptions options;
   options.interval_micros = 100000;
@@ -335,7 +335,7 @@ TEST_F(FederationTest, LiveStreamsMigrateWithTheRoom) {
 
   size_t from_source = network_->BytesSent(tier_->node_net(0), client1_);
   size_t from_target = network_->BytesSent(tier_->node_net(2), client1_);
-  tier_->Settle().value();
+  tier_->loop()->Settle().value();
   // Chunks now flow from the new node — and only from it.
   EXPECT_EQ(network_->BytesSent(tier_->node_net(0), client1_), from_source);
   EXPECT_GT(network_->BytesSent(tier_->node_net(2), client1_), from_target);
@@ -365,10 +365,10 @@ TEST_F(FederationTest, LoadsAndMetricsTrackNodesAndMigrations) {
     tier_->Join(id, {"dr-cohen", client1_}).value();
   }
   tier_->SubmitChoice(rooms[0], "dr-cohen", "CT", "hidden").value();
-  tier_->Settle().value();
+  tier_->loop()->Settle().value();
   MigrationReport report = tier_->MigrateRoom(rooms[0], 1).value();
   ASSERT_TRUE(report.verified);
-  tier_->Settle().value();
+  tier_->loop()->Settle().value();
 
   std::vector<NodeLoad> loads = tier_->Loads();
   ASSERT_EQ(loads.size(), 3u);

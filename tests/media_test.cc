@@ -82,6 +82,20 @@ TEST(ImageTest, DecodeRejectsGarbage) {
   EXPECT_TRUE(Image::Decode(junk).status().IsCorruption());
 }
 
+TEST(ImageTest, DecodeRejectsFlippedDimensionsBeforeAllocating) {
+  Rng rng(5);
+  Bytes encoded = MakePhantomCt({32, 32, 2, 0.0}, rng).Encode();
+  // Width and height follow the 4-byte magic, little-endian i32 each.
+  // Claim 131072 x 131072 pixels (16 GiB) against ~1 KiB of data.
+  for (size_t offset : {4u, 8u}) {
+    encoded[offset] = 0x00;
+    encoded[offset + 1] = 0x00;
+    encoded[offset + 2] = 0x02;
+    encoded[offset + 3] = 0x00;
+  }
+  EXPECT_TRUE(Image::Decode(encoded).status().IsCorruption());
+}
+
 TEST(ImageTest, PsnrIdenticalIsInfinite) {
   Rng rng(5);
   Image img = MakePhantomCt({32, 32, 2, 0.0}, rng);

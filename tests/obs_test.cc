@@ -14,6 +14,7 @@
 #include "obs/trace.h"
 #include "prefetch/cache.h"
 #include "server/interaction_server.h"
+#include "sim/loop.h"
 #include "storage/database.h"
 #include "stream/scheduler.h"
 
@@ -310,6 +311,8 @@ InstrumentedRun RunLossyConsult(uint64_t seed) {
   EXPECT_TRUE(db.RegisterStandardTypes().ok());
   server::InteractionServer server(&db, &network, server_node, db_node);
   server.UseReliableTransport(&transport);
+  sim::Loop loop(&transport);
+  loop.Register(&server);
 
   network.SetObserver(&registry, &tracer);
   transport.SetObserver(&registry, &tracer);
@@ -321,10 +324,10 @@ InstrumentedRun RunLossyConsult(uint64_t seed) {
                   .ok());
   EXPECT_TRUE(server.Join("consult", {"dr-cohen", client}).ok());
   EXPECT_TRUE(server.Join("consult", {"dr-levi", peer}).ok());
-  transport.AdvanceUntilIdle();
+  loop.Drain();
   EXPECT_TRUE(
       server.SubmitChoice("consult", "dr-cohen", "CT", "thumbnail").ok());
-  transport.AdvanceUntilIdle();
+  loop.Drain();
   // Settling the room closes the propagation round: its span and
   // time-to-consistency are only known once the last ack lands.
   EXPECT_TRUE(server.RoomConverged("consult"));
@@ -337,7 +340,8 @@ InstrumentedRun RunLossyConsult(uint64_t seed) {
                                 EncodeObject(9)};
   stream::StreamId id =
       server.OpenStream("consult", "dr-cohen", objects, options).value();
-  EXPECT_TRUE(server.AdvanceStreamsUntilIdle().ok());
+  EXPECT_TRUE(loop.Pump().ok());
+  EXPECT_TRUE(loop.Settle().ok());
   EXPECT_TRUE(server.StreamSessionStats(id).value().finished);
 
   InstrumentedRun run;

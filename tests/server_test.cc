@@ -9,6 +9,7 @@
 #include "net/reliable.h"
 #include "server/interaction_server.h"
 #include "server/room.h"
+#include "sim/loop.h"
 #include "storage/database.h"
 
 namespace mmconf::server {
@@ -413,6 +414,8 @@ TEST_F(ServerTest, PartitionMidSessionRetriesThenEvictsAfterCap) {
   policy.max_attempts = 3;
   net::ReliableTransport transport(network_.get(), policy);
   server_->UseReliableTransport(&transport);
+  sim::Loop loop(&transport);
+  loop.Register(server_.get());
 
   net::NodeId third = network_->AddNode("client-3");
   ASSERT_TRUE(
@@ -423,12 +426,12 @@ TEST_F(ServerTest, PartitionMidSessionRetriesThenEvictsAfterCap) {
   server_->Join("consult", {"dr-cohen", client1_}).value();
   server_->Join("consult", {"dr-levi", client2_}).value();
   server_->Join("consult", {"dr-gold", third}).value();
-  transport.AdvanceUntilIdle();
+  loop.Drain();
   ASSERT_TRUE(server_->RoomConverged("consult"));
 
   // dr-levi pins a choice, then their site drops off the network.
   server_->SubmitChoice("consult", "dr-levi", "CT", "hidden").value();
-  transport.AdvanceUntilIdle();
+  loop.Drain();
   network_->Partition(server_node_, client2_);
 
   // A change mid-partition succeeds immediately — and unlike the
@@ -439,7 +442,7 @@ TEST_F(ServerTest, PartitionMidSessionRetriesThenEvictsAfterCap) {
   EXPECT_TRUE(room->HasMember("dr-levi"));
 
   // Pumping the transport burns dr-levi's retry budget, then evicts.
-  transport.AdvanceUntilIdle();
+  loop.Drain();
   EXPECT_FALSE(room->HasMember("dr-levi"));
   EXPECT_TRUE(room->HasMember("dr-cohen"));
   EXPECT_TRUE(room->HasMember("dr-gold"));
@@ -506,13 +509,15 @@ LossyRunOutcome RunLossyRoom(uint64_t seed) {
   db.RegisterStandardTypes().ok();
   InteractionServer server(&db, &network, server_node, db_node);
   server.UseReliableTransport(&transport);
+  sim::Loop loop(&transport);
+  loop.Register(&server);
 
   MultimediaDocument document = MakeMedicalRecordDocument().value();
   storage::ObjectRef ref = server.StoreDocument(document, "p").value();
   server.OpenRoom("consult", ref).value();
   std::vector<net::Delivery> all;
   auto pump = [&] {
-    std::vector<net::Delivery> batch = transport.AdvanceUntilIdle();
+    std::vector<net::Delivery> batch = loop.Drain();
     all.insert(all.end(), batch.begin(), batch.end());
   };
   for (int i = 0; i < 3; ++i) {

@@ -12,6 +12,7 @@
 #include "net/reliable.h"
 #include "prefetch/cache.h"
 #include "server/interaction_server.h"
+#include "sim/loop.h"
 #include "storage/database.h"
 #include "stream/chunk.h"
 #include "stream/chunker.h"
@@ -223,6 +224,7 @@ class StreamServerTest : public ::testing::Test {
   void SetUp() override { Build(/*fault_seed=*/0x5eedf00dull); }
 
   void Build(uint64_t fault_seed) {
+    loop_.reset();
     server_.reset();
     transport_.reset();
     network_.reset();
@@ -243,6 +245,8 @@ class StreamServerTest : public ::testing::Test {
         &db_, network_.get(), server_node_, db_node_);
     transport_ = std::make_unique<net::ReliableTransport>(network_.get());
     server_->UseReliableTransport(transport_.get());
+    loop_ = std::make_unique<sim::Loop>(transport_.get());
+    loop_->Register(server_.get());
     ASSERT_TRUE(server_
                     ->OpenRoomWithDocument(
                         "consult", doc::MakeMedicalRecordDocument().value())
@@ -250,7 +254,15 @@ class StreamServerTest : public ::testing::Test {
     ASSERT_TRUE(server_->Join("consult", {"dr-cohen", client1_}).ok());
     ASSERT_TRUE(server_->Join("consult", {"dr-levi", client2_}).ok());
     // Settle the join payloads so stream tests start from a quiet wire.
-    transport_->AdvanceUntilIdle();
+    loop_->Drain();
+  }
+
+  /// Drives the lone server's streams to the end. Settle advances before
+  /// it pumps, so pump first: fresh streams send their first chunks now,
+  /// not at their first playout deadline.
+  Result<std::vector<net::Delivery>> Settle() {
+    MMCONF_RETURN_IF_ERROR(loop_->Pump());
+    return loop_->Settle();
   }
 
   /// Deadlines relative to the current virtual time (the join handshake
@@ -268,6 +280,7 @@ class StreamServerTest : public ::testing::Test {
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<net::ReliableTransport> transport_;
   std::unique_ptr<server::InteractionServer> server_;
+  std::unique_ptr<sim::Loop> loop_;
   net::NodeId server_node_ = 0, db_node_ = 0, client1_ = 0, client2_ = 0;
 };
 
@@ -281,7 +294,7 @@ TEST_F(StreamServerTest, AmpleBandwidthDeliversEveryLayerWithoutStalls) {
   StreamId s2 =
       server_->OpenStream("consult", "dr-levi", objects, Options()).value();
   EXPECT_EQ(server_->num_streams(), 2u);
-  ASSERT_TRUE(server_->AdvanceStreamsUntilIdle().ok());
+  ASSERT_TRUE(Settle().ok());
   EXPECT_TRUE(server_->StreamsIdle());
 
   for (StreamId id : {s1, s2}) {
@@ -317,7 +330,7 @@ TEST_F(StreamServerTest, ConstrainedLinkDropsOnlyEnhancementLayers) {
   StreamId id = server_->OpenStream("consult", "dr-cohen", objects,
                                     Options(250000, 100000))
                     .value();
-  ASSERT_TRUE(server_->AdvanceStreamsUntilIdle().ok());
+  ASSERT_TRUE(Settle().ok());
 
   StreamStats stats = server_->StreamSessionStats(id).value();
   EXPECT_TRUE(stats.finished);
@@ -347,7 +360,7 @@ TEST_F(StreamServerTest, LossyLinkStatsAreDeterministicForFixedSeed) {
     StreamId id =
         server_->OpenStream("consult", "dr-cohen", EncodeObjects(4), Options())
             .value();
-    EXPECT_TRUE(server_->AdvanceStreamsUntilIdle().ok());
+    EXPECT_TRUE(Settle().ok());
     return server_->StreamSessionStats(id).value();
   };
 
@@ -373,7 +386,7 @@ TEST_F(StreamServerTest, StreamingMixesWithPropagateTraffic) {
   // must reach the other member and come back as a passthrough delivery.
   ASSERT_TRUE(server_->SubmitChoice("consult", "dr-levi", "CT", "hidden").ok());
   std::vector<net::Delivery> passthrough =
-      server_->AdvanceStreamsUntilIdle().value();
+      Settle().value();
 
   bool saw_delta = false;
   for (const net::Delivery& delivery : passthrough) {
@@ -401,7 +414,7 @@ TEST_F(StreamServerTest, PlayoutBudgetSharesClientCacheHeadroom) {
   StreamId id =
       server_->OpenStream("consult", "dr-cohen", EncodeObjects(3), options)
           .value();
-  ASSERT_TRUE(server_->AdvanceStreamsUntilIdle().ok());
+  ASSERT_TRUE(Settle().ok());
 
   StreamStats stats = server_->StreamSessionStats(id).value();
   EXPECT_TRUE(stats.finished);

@@ -22,6 +22,9 @@ class ByteWriter {
  public:
   ByteWriter() = default;
 
+  /// Sizes the buffer for `n` bytes up front.
+  void Reserve(size_t n) { buf_.reserve(n); }
+
   void PutU8(uint8_t v) { buf_.push_back(v); }
   void PutU16(uint16_t v);
   void PutU32(uint32_t v);

@@ -1,28 +1,31 @@
 #include "compress/bitstream.h"
 
+#include <bit>
+#include <string>
+
 namespace mmconf::compress {
 
-void BitWriter::PutBit(bool bit) {
-  current_ = static_cast<uint8_t>((current_ << 1) | (bit ? 1 : 0));
-  if (++bit_pos_ == 8) {
-    bytes_.push_back(current_);
-    current_ = 0;
-    bit_pos_ = 0;
+void BitWriter::FlushWord() {
+  pending_ -= 32;
+  const uint32_t word = static_cast<uint32_t>(acc_ >> pending_);
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    bytes_.push_back(static_cast<uint8_t>(word >> shift));
   }
 }
 
-void BitWriter::PutBits(uint32_t value, int count) {
-  for (int i = count - 1; i >= 0; --i) PutBit((value >> i) & 1);
-}
-
 void BitWriter::PutUExpGolomb(uint32_t value) {
-  // code(v) = unary(len(v+1)-1) ++ binary(v+1 without leading 1)
-  uint64_t v = static_cast<uint64_t>(value) + 1;
-  int len = 0;
-  for (uint64_t t = v; t > 1; t >>= 1) ++len;
-  for (int i = 0; i < len; ++i) PutBit(false);
-  PutBit(true);
-  for (int i = len - 1; i >= 0; --i) PutBit((v >> i) & 1);
+  // code(v) = unary(len(v+1)-1) ++ binary(v+1 without leading 1), i.e.
+  // v+1 written in 2*len+1 bits where len = floor(log2(v+1)).
+  const uint64_t v = static_cast<uint64_t>(value) + 1;
+  const int len = std::bit_width(v) - 1;
+  if (len < 16) {
+    PutBits(static_cast<uint32_t>(v), 2 * len + 1);
+    return;
+  }
+  // Up to 65 bits: the zeros, then v+1's len+1 bits in two fields.
+  PutBits(0, len);
+  PutBits(static_cast<uint32_t>(v >> 16), len + 1 - 16);
+  PutBits(static_cast<uint32_t>(v & 0xffff), 16);
 }
 
 void BitWriter::PutSExpGolomb(int32_t value) {
@@ -32,7 +35,13 @@ void BitWriter::PutSExpGolomb(int32_t value) {
 }
 
 Bytes BitWriter::Finish() {
-  while (bit_pos_ != 0) PutBit(false);
+  const int pad = (8 - pending_ % 8) % 8;
+  acc_ <<= pad;
+  pending_ += pad;
+  while (pending_ > 0) {
+    pending_ -= 8;
+    bytes_.push_back(static_cast<uint8_t>(acc_ >> pending_));
+  }
   return std::move(bytes_);
 }
 
@@ -78,8 +87,8 @@ Result<int32_t> BitReader::GetSExpGolomb() {
   return static_cast<int32_t>(zigzag >> 1);
 }
 
-Bytes EncodeCoefficients(const std::vector<int32_t>& coefficients) {
-  BitWriter w;
+void EncodeCoefficients(std::span<const int32_t> coefficients, Bytes& out) {
+  BitWriter w(std::move(out));
   w.PutBits(static_cast<uint32_t>(coefficients.size()), 32);
   size_t i = 0;
   while (i < coefficients.size()) {
@@ -96,12 +105,18 @@ Bytes EncodeCoefficients(const std::vector<int32_t>& coefficients) {
       w.PutBit(v > 0);
     }
   }
-  return w.Finish();
+  out = w.Finish();
 }
 
-Result<std::vector<int32_t>> DecodeCoefficients(const Bytes& bytes) {
+Result<std::vector<int32_t>> DecodeCoefficients(const Bytes& bytes,
+                                                size_t expected_count) {
   BitReader r(bytes);
   MMCONF_ASSIGN_OR_RETURN(uint32_t n, r.GetBits(32));
+  if (n != expected_count) {
+    return Status::Corruption("coefficient count " + std::to_string(n) +
+                              " does not match the plane's " +
+                              std::to_string(expected_count));
+  }
   std::vector<int32_t> out;
   out.reserve(n);
   while (out.size() < n) {

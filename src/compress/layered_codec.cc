@@ -16,6 +16,26 @@ constexpr uint32_t kMagic = 0x4d4c4352;  // "MLCR"
 /// the system encodes. Decode allocates width x height planes, so the
 /// header's dimensions are bounded before anything trusts them.
 constexpr int64_t kMaxPixels = int64_t{1} << 24;
+/// Header size bounds: magic, dimensions, wavelet and layer-count varint;
+/// then per layer basis, levels, step and payload-size varint.
+constexpr size_t kMaxHeaderBytes = 4 + 4 + 4 + 1 + 10;
+constexpr size_t kMaxLayerHeaderBytes = 1 + 1 + 8 + 10;
+
+/// The working set of one Encode: the residual and analysis planes, the
+/// quantized coefficients, and the entropy-coded payloads with each
+/// layer's end offset. assign/resize/clear keep every buffer's capacity.
+struct EncoderScratch {
+  Plane residual;
+  Plane analysis;
+  std::vector<int32_t> coefficients;
+  Bytes payload;
+  std::vector<size_t> layer_end;
+};
+
+EncoderScratch& ThreadEncoderScratch() {
+  thread_local EncoderScratch scratch;
+  return scratch;
+}
 
 Status AnalyzeLayer(Plane& plane, const LayerSpec& spec,
                     WaveletBasis wavelet) {
@@ -46,8 +66,9 @@ Status SynthesizeLayer(Plane& plane, const LayerSpec& spec,
 Result<Plane> DecodeLayerPayload(const Bytes& payload, const LayerSpec& spec,
                                  int width, int height,
                                  WaveletBasis wavelet) {
-  MMCONF_ASSIGN_OR_RETURN(std::vector<int32_t> coefficients,
-                          DecodeCoefficients(payload));
+  MMCONF_ASSIGN_OR_RETURN(
+      std::vector<int32_t> coefficients,
+      DecodeCoefficients(payload, static_cast<size_t>(width) * height));
   MMCONF_ASSIGN_OR_RETURN(
       Plane plane, Dequantize(coefficients, width, height, spec.quant_step));
   MMCONF_RETURN_IF_ERROR(SynthesizeLayer(plane, spec, wavelet));
@@ -72,6 +93,14 @@ Result<size_t> HeaderEnd(const Bytes& stream) {
 }
 
 }  // namespace
+
+size_t ThreadEncoderScratchBytes() {
+  const EncoderScratch& s = ThreadEncoderScratch();
+  return (s.residual.data.capacity() + s.analysis.data.capacity()) *
+             sizeof(double) +
+         s.coefficients.capacity() * sizeof(int32_t) + s.payload.capacity() +
+         s.layer_end.capacity() * sizeof(size_t);
+}
 
 const char* LayerBasisToString(LayerBasis basis) {
   switch (basis) {
@@ -115,41 +144,56 @@ Result<Bytes> LayeredCodec::Encode(const media::Image& image) const {
     }
   }
 
-  Plane residual = PlaneFromImage(image);
-  ByteWriter header;
-  header.PutU32(kMagic);
-  header.PutI32(image.width());
-  header.PutI32(image.height());
-  header.PutU8(static_cast<uint8_t>(options_.wavelet));
-  header.PutVarint(options_.layers.size());
-  std::vector<Bytes> payloads;
-  for (const LayerSpec& spec : options_.layers) {
-    Plane analyzed = residual;
-    MMCONF_RETURN_IF_ERROR(AnalyzeLayer(analyzed, spec, options_.wavelet));
-    std::vector<int32_t> coefficients = Quantize(analyzed, spec.quant_step);
-    payloads.push_back(EncodeCoefficients(coefficients));
-    // Reconstruct what the decoder will see and subtract it, so the next
-    // layer encodes (and compensates for) this layer's quantization
+  EncoderScratch& scratch = ThreadEncoderScratch();
+  Plane& residual = scratch.residual;
+  Plane& analysis = scratch.analysis;
+  residual.width = analysis.width = image.width();
+  residual.height = analysis.height = image.height();
+  // assign() converts each pixel to double and reuses the capacity.
+  residual.data.assign(image.pixels().begin(), image.pixels().end());
+  scratch.payload.clear();
+  scratch.layer_end.clear();
+  const size_t num_layers = options_.layers.size();
+  for (size_t k = 0; k < num_layers; ++k) {
+    const LayerSpec& spec = options_.layers[k];
+    analysis.data.assign(residual.data.begin(), residual.data.end());
+    MMCONF_RETURN_IF_ERROR(AnalyzeLayer(analysis, spec, options_.wavelet));
+    Quantize(analysis, spec.quant_step, scratch.coefficients);
+    EncodeCoefficients(scratch.coefficients, scratch.payload);
+    scratch.layer_end.push_back(scratch.payload.size());
+    if (k + 1 == num_layers) break;  // nothing reads the last residual
+    // Rebuild in place what the decoder will see and subtract it, so the
+    // next layer encodes (and compensates for) this layer's quantization
     // artifacts.
-    MMCONF_ASSIGN_OR_RETURN(
-        Plane reconstructed,
-        Dequantize(coefficients, image.width(), image.height(),
-                   spec.quant_step));
-    MMCONF_RETURN_IF_ERROR(
-        SynthesizeLayer(reconstructed, spec, options_.wavelet));
-    for (size_t i = 0; i < residual.data.size(); ++i) {
-      residual.data[i] -= reconstructed.data[i];
+    for (size_t i = 0; i < analysis.data.size(); ++i) {
+      analysis.data[i] =
+          DequantizeValue(scratch.coefficients[i], spec.quant_step);
     }
-    header.PutU8(static_cast<uint8_t>(spec.basis));
-    header.PutU8(static_cast<uint8_t>(spec.levels));
-    header.PutF64(spec.quant_step);
-    header.PutVarint(payloads.back().size());
+    MMCONF_RETURN_IF_ERROR(SynthesizeLayer(analysis, spec, options_.wavelet));
+    for (size_t i = 0; i < residual.data.size(); ++i) {
+      residual.data[i] -= analysis.data[i];
+    }
   }
-  Bytes out = header.Take();
-  for (const Bytes& payload : payloads) {
-    out.insert(out.end(), payload.begin(), payload.end());
+
+  ByteWriter out;
+  out.Reserve(kMaxHeaderBytes + num_layers * kMaxLayerHeaderBytes +
+              scratch.payload.size());
+  out.PutU32(kMagic);
+  out.PutI32(image.width());
+  out.PutI32(image.height());
+  out.PutU8(static_cast<uint8_t>(options_.wavelet));
+  out.PutVarint(num_layers);
+  size_t begin = 0;
+  for (size_t k = 0; k < num_layers; ++k) {
+    const LayerSpec& spec = options_.layers[k];
+    out.PutU8(static_cast<uint8_t>(spec.basis));
+    out.PutU8(static_cast<uint8_t>(spec.levels));
+    out.PutF64(spec.quant_step);
+    out.PutVarint(scratch.layer_end[k] - begin);
+    begin = scratch.layer_end[k];
   }
-  return out;
+  out.PutRaw(scratch.payload.data(), scratch.payload.size());
+  return out.Take();
 }
 
 Result<Bytes> LayeredCodec::EncodeToBudget(const media::Image& image,
@@ -311,8 +355,10 @@ Result<media::Image> LayeredCodec::DecodeThumbnail(const Bytes& stream,
   MMCONF_ASSIGN_OR_RETURN(size_t header_end, HeaderEnd(stream));
   Bytes payload(stream.begin() + static_cast<long>(header_end),
                 stream.begin() + static_cast<long>(info.layer_end[0]));
-  MMCONF_ASSIGN_OR_RETURN(std::vector<int32_t> coefficients,
-                          DecodeCoefficients(payload));
+  MMCONF_ASSIGN_OR_RETURN(
+      std::vector<int32_t> coefficients,
+      DecodeCoefficients(payload, static_cast<size_t>(info.width) *
+                                      info.height));
   MMCONF_ASSIGN_OR_RETURN(
       Plane analyzed,
       Dequantize(coefficients, info.width, info.height, base.quant_step));

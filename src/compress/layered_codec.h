@@ -60,6 +60,13 @@ struct StreamInfo {
   size_t total_bytes = 0;
 };
 
+/// Capacity in bytes of the calling thread's encoder scratch: the planes,
+/// coefficient and payload buffers LayeredCodec::Encode works in. They
+/// grow to the largest image the thread has encoded and never shrink
+/// (like KernelScratch), so a warmed-up thread encodes with a single heap
+/// allocation, the returned stream.
+size_t ThreadEncoderScratchBytes();
+
 /// Multi-layered hybrid image codec.
 class LayeredCodec {
  public:

@@ -34,39 +34,47 @@ Status CheckDims(const Plane& plane) {
   return Status::OK();
 }
 
-void TransformBlock(Plane& plane, int bx, int by, bool forward) {
+/// One 8x8 block: rows, then columns. The forward transform applies the
+/// DCT matrix, the inverse its transpose; the direction is a template
+/// parameter so the inner loops carry no branch. Every output is summed
+/// from acc = 0 in n order.
+template <bool kForward>
+void TransformBlock(Plane& plane, int bx, int by) {
   const auto& dct = DctMatrix();
-  std::array<std::array<double, kN>, kN> tmp{}, out{};
+  double in[kN][kN], tmp[kN][kN];
+  for (int y = 0; y < kN; ++y) {
+    const double* row = &plane.at(bx, by + y);
+    for (int x = 0; x < kN; ++x) in[y][x] = row[x];
+  }
   // Rows: tmp = (D * block^T)^T i.e. apply along x.
   for (int y = 0; y < kN; ++y) {
     for (int k = 0; k < kN; ++k) {
       double acc = 0;
       for (int n = 0; n < kN; ++n) {
-        acc += (forward ? dct[k][n] : dct[n][k]) * plane.at(bx + n, by + y);
+        acc += (kForward ? dct[k][n] : dct[n][k]) * in[y][n];
       }
       tmp[y][k] = acc;
     }
   }
-  // Columns.
-  for (int x = 0; x < kN; ++x) {
-    for (int k = 0; k < kN; ++k) {
+  // Columns, written straight back into the plane.
+  for (int k = 0; k < kN; ++k) {
+    double* row = &plane.at(bx, by + k);
+    for (int x = 0; x < kN; ++x) {
       double acc = 0;
       for (int n = 0; n < kN; ++n) {
-        acc += (forward ? dct[k][n] : dct[n][k]) * tmp[n][x];
+        acc += (kForward ? dct[k][n] : dct[n][k]) * tmp[n][x];
       }
-      out[k][x] = acc;
+      row[x] = acc;
     }
-  }
-  for (int y = 0; y < kN; ++y) {
-    for (int x = 0; x < kN; ++x) plane.at(bx + x, by + y) = out[y][x];
   }
 }
 
-Status TransformAll(Plane& plane, bool forward) {
+template <bool kForward>
+Status TransformAll(Plane& plane) {
   MMCONF_RETURN_IF_ERROR(CheckDims(plane));
   for (int by = 0; by < plane.height; by += kN) {
     for (int bx = 0; bx < plane.width; bx += kN) {
-      TransformBlock(plane, bx, by, forward);
+      TransformBlock<kForward>(plane, bx, by);
     }
   }
   return Status::OK();
@@ -74,10 +82,10 @@ Status TransformAll(Plane& plane, bool forward) {
 
 }  // namespace
 
-Status LocalCosine2D(Plane& plane) { return TransformAll(plane, true); }
+Status LocalCosine2D(Plane& plane) { return TransformAll<true>(plane); }
 
 Status InverseLocalCosine2D(Plane& plane) {
-  return TransformAll(plane, false);
+  return TransformAll<false>(plane);
 }
 
 }  // namespace mmconf::compress

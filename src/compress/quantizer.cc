@@ -1,16 +1,14 @@
 #include "compress/quantizer.h"
 
-#include <cmath>
-
 namespace mmconf::compress {
 
-std::vector<int32_t> Quantize(const Plane& plane, double step) {
-  std::vector<int32_t> out(plane.data.size());
-  for (size_t i = 0; i < plane.data.size(); ++i) {
-    double v = plane.data[i] / step;
-    out[i] = static_cast<int32_t>(v < 0 ? -std::floor(-v) : std::floor(v));
-  }
-  return out;
+void Quantize(const Plane& plane, double step, std::vector<int32_t>& out) {
+  const size_t n = plane.data.size();
+  out.resize(n);
+  const double* in = plane.data.data();
+  int32_t* q = out.data();
+  // The conversion truncates toward zero, which is the dead zone.
+  for (size_t i = 0; i < n; ++i) q[i] = static_cast<int32_t>(in[i] / step);
 }
 
 Result<Plane> Dequantize(const std::vector<int32_t>& coefficients, int width,
@@ -20,14 +18,7 @@ Result<Plane> Dequantize(const std::vector<int32_t>& coefficients, int width,
   }
   Plane plane(width, height);
   for (size_t i = 0; i < coefficients.size(); ++i) {
-    int32_t q = coefficients[i];
-    if (q == 0) {
-      plane.data[i] = 0;
-    } else if (q > 0) {
-      plane.data[i] = (q + 0.5) * step;
-    } else {
-      plane.data[i] = (q - 0.5) * step;
-    }
+    plane.data[i] = DequantizeValue(coefficients[i], step);
   }
   return plane;
 }

@@ -39,6 +39,20 @@ size_t SpeechOverlap(const SpeakerTrack& track, size_t begin, size_t end) {
   return overlap;
 }
 
+/// The key of ComposeFrame's video memo: everything ComposeMosaic reads.
+bool SameImages(const std::vector<Image>& a, const std::vector<Image>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].width() != b[i].width() || a[i].height() != b[i].height() ||
+        a[i].pixels() != b[i].pixels() ||
+        a[i].text_elements() != b[i].text_elements() ||
+        a[i].line_elements() != b[i].line_elements()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Result<MixResult> MixActiveSpeakers(const std::vector<SpeakerTrack>& tracks,
@@ -277,24 +291,33 @@ Result<std::vector<ComposedFrame>> Compositor::ComposeFrame(
     }
   }
 
-  compress::LayeredCodec codec(options_.codec);
   const std::pair<doc::BandwidthLevel, int> classes[] = {
       {doc::BandwidthLevel::kHigh, options_.high_px},
       {doc::BandwidthLevel::kMedium, options_.medium_px},
       {doc::BandwidthLevel::kLow, options_.low_px},
   };
+  if (last_videos_.empty() || !SameImages(images, last_images_)) {
+    compress::LayeredCodec codec(options_.codec);
+    std::vector<Bytes> videos;
+    videos.reserve(3);
+    for (const auto& [level, px] : classes) {
+      MosaicOptions mosaic = options_.mosaic;
+      mosaic.width = px;
+      mosaic.height = px;
+      MMCONF_ASSIGN_OR_RETURN(Image composed, ComposeMosaic(images, mosaic));
+      MMCONF_ASSIGN_OR_RETURN(Bytes video, codec.Encode(composed));
+      videos.push_back(std::move(video));
+    }
+    last_images_ = images;
+    last_videos_ = std::move(videos);
+  }
   std::vector<ComposedFrame> frames;
   frames.reserve(3);
-  for (const auto& [level, px] : classes) {
-    MosaicOptions mosaic = options_.mosaic;
-    mosaic.width = px;
-    mosaic.height = px;
-    MMCONF_ASSIGN_OR_RETURN(Image composed, ComposeMosaic(images, mosaic));
-    MMCONF_ASSIGN_OR_RETURN(Bytes video, codec.Encode(composed));
+  for (size_t i = 0; i < 3; ++i) {
     ComposedFrame frame;
     frame.index = index;
-    frame.level = level;
-    frame.video = std::move(video);
+    frame.level = classes[i].first;
+    frame.video = last_videos_[i];
     frame.audio = audio;
     frame.active_speakers = active_speakers;
     if (m_video_bytes_ != nullptr) {

@@ -119,6 +119,12 @@ struct CompositorOptions {
 /// one mixed audio track per frame instead of M object streams. Pure
 /// and deterministic: identical inputs yield byte-identical frames, the
 /// property the migration cutover test asserts.
+///
+/// Because the video depends on nothing but the images, a frame whose
+/// images equal the previous call's reuses that call's three encoded
+/// videos instead of composing and encoding them again (the audio is
+/// mixed every call). That memo is mutable state behind a const method,
+/// so a Compositor is not safe for concurrent ComposeFrame calls.
 class Compositor {
  public:
   explicit Compositor(CompositorOptions options = {});
@@ -126,7 +132,9 @@ class Compositor {
   /// Composes frame `index` (audio window [index, index+1) *
   /// frame_interval) for every bandwidth class. `images` are the
   /// visible image objects in document order; `tracks` the
-  /// participants' audio.
+  /// participants' audio. When `images` equal the previous call's (same
+  /// count and order; per image the same dimensions, pixels, and text
+  /// and line overlays) the previous videos are returned as they were.
   Result<std::vector<ComposedFrame>> ComposeFrame(
       uint32_t index, const std::vector<media::Image>& images,
       const std::vector<SpeakerTrack>& tracks) const;
@@ -147,6 +155,10 @@ class Compositor {
   obs::Counter* m_ties_ = nullptr;
   obs::Counter* m_active_ = nullptr;
   obs::Histogram* m_video_bytes_ = nullptr;
+  /// The previous call's images and its high/medium/low videos; empty
+  /// videos until the first successful call.
+  mutable std::vector<media::Image> last_images_;
+  mutable std::vector<Bytes> last_videos_;
 };
 
 }  // namespace mmconf::fanout

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace mmconf::imaging {
 
@@ -19,28 +20,42 @@ Result<Image> Zoom(const Image& image, Rect region, int out_width,
     return Status::OutOfRange("zoom region exceeds image bounds");
   }
   MMCONF_ASSIGN_OR_RETURN(Image out, Image::Create(out_width, out_height));
+  // Bilinear taps: the two clamped source indices and the weight of the
+  // second. A column's taps are the same on every row, so they are
+  // computed once per call; a row's once per row.
+  struct Tap {
+    int i0;
+    int i1;
+    double f;
+  };
+  const auto tap = [](double s, int last) {
+    const int i = static_cast<int>(std::floor(s));
+    return Tap{std::clamp(i, 0, last), std::clamp(i + 1, 0, last), s - i};
+  };
+  std::vector<Tap> columns(static_cast<size_t>(out_width));
+  for (int x = 0; x < out_width; ++x) {
+    double sx = region.x +
+                (x + 0.5) * region.width / static_cast<double>(out_width) - 0.5;
+    columns[static_cast<size_t>(x)] = tap(sx, image.width() - 1);
+  }
+  const uint8_t* pixels = image.pixels().data();
+  uint8_t* dst = out.mutable_pixels().data();
   for (int y = 0; y < out_height; ++y) {
     double sy = region.y +
                 (y + 0.5) * region.height / static_cast<double>(out_height) -
                 0.5;
-    for (int x = 0; x < out_width; ++x) {
-      double sx = region.x +
-                  (x + 0.5) * region.width / static_cast<double>(out_width) -
-                  0.5;
-      int x0 = static_cast<int>(std::floor(sx));
-      int y0 = static_cast<int>(std::floor(sy));
-      double fx = sx - x0;
-      double fy = sy - y0;
-      auto sample = [&](int px, int py) {
-        px = std::clamp(px, 0, image.width() - 1);
-        py = std::clamp(py, 0, image.height() - 1);
-        return static_cast<double>(image.at(px, py));
-      };
-      double v = (1 - fx) * (1 - fy) * sample(x0, y0) +
-                 fx * (1 - fy) * sample(x0 + 1, y0) +
-                 (1 - fx) * fy * sample(x0, y0 + 1) +
-                 fx * fy * sample(x0 + 1, y0 + 1);
-      out.set(x, y, static_cast<uint8_t>(std::clamp(v, 0.0, 255.0)));
+    const Tap row = tap(sy, image.height() - 1);
+    const uint8_t* r0 = pixels + static_cast<size_t>(row.i0) * image.width();
+    const uint8_t* r1 = pixels + static_cast<size_t>(row.i1) * image.width();
+    const double fy = row.f;
+    for (const Tap& col : columns) {
+      const double fx = col.f;
+      // The four terms summed left to right, as one expression would.
+      double v = (1 - fx) * (1 - fy) * r0[col.i0];
+      v += fx * (1 - fy) * r0[col.i1];
+      v += (1 - fx) * fy * r1[col.i0];
+      v += fx * fy * r1[col.i1];
+      *dst++ = static_cast<uint8_t>(std::clamp(v, 0.0, 255.0));
     }
   }
   return out;

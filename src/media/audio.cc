@@ -63,6 +63,11 @@ Result<AudioSignal> AudioSignal::Decode(const Bytes& bytes) {
   MMCONF_ASSIGN_OR_RETURN(int32_t rate, r.GetI32());
   if (rate <= 0) return Status::Corruption("bad sample rate");
   MMCONF_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
+  // Two bytes per sample: a count the payload cannot hold is rejected
+  // before it sizes the allocation.
+  if (n > r.remaining() / 2) {
+    return Status::Corruption("audio sample count exceeds the payload");
+  }
   std::vector<float> samples;
   samples.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

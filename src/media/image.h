@@ -36,6 +36,8 @@ struct TextElement {
   int y = 0;
   std::string text;
   uint8_t intensity = 255;
+
+  bool operator==(const TextElement&) const = default;
 };
 
 /// A line annotation (same rationale as TextElement).
@@ -46,6 +48,8 @@ struct LineElement {
   int x1 = 0;
   int y1 = 0;
   uint8_t intensity = 255;
+
+  bool operator==(const LineElement&) const = default;
 };
 
 /// 8-bit grayscale raster with vector annotation overlays. This is the

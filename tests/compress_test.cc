@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "common/rng.h"
@@ -62,16 +63,145 @@ TEST(BitstreamTest, CoefficientsRoundTrip) {
       if (coefficients[i] == 0) coefficients[i] = 1;
     }
   }
-  Bytes encoded = EncodeCoefficients(coefficients);
-  EXPECT_EQ(DecodeCoefficients(encoded).value(), coefficients);
+  Bytes encoded;
+  EncodeCoefficients(coefficients, encoded);
+  EXPECT_EQ(DecodeCoefficients(encoded, coefficients.size()).value(),
+            coefficients);
   // Sparse data compresses well below 4 bytes/coefficient.
   EXPECT_LT(encoded.size(), coefficients.size());
 }
 
 TEST(BitstreamTest, EmptyAndAllZeroCoefficients) {
-  EXPECT_TRUE(DecodeCoefficients(EncodeCoefficients({})).value().empty());
+  Bytes empty;
+  EncodeCoefficients({}, empty);
+  EXPECT_TRUE(DecodeCoefficients(empty, 0).value().empty());
   std::vector<int32_t> zeros(100, 0);
-  EXPECT_EQ(DecodeCoefficients(EncodeCoefficients(zeros)).value(), zeros);
+  Bytes encoded;
+  EncodeCoefficients(zeros, encoded);
+  EXPECT_EQ(DecodeCoefficients(encoded, zeros.size()).value(), zeros);
+}
+
+/// The bit-at-a-time writer BitWriter replaced, kept as its oracle.
+class BitByBitWriter {
+ public:
+  void PutBit(bool bit) {
+    current_ = static_cast<uint8_t>((current_ << 1) | (bit ? 1 : 0));
+    if (++bit_pos_ == 8) {
+      bytes_.push_back(current_);
+      current_ = 0;
+      bit_pos_ = 0;
+    }
+  }
+  void PutBits(uint32_t value, int count) {
+    for (int i = count - 1; i >= 0; --i) PutBit((value >> i) & 1);
+  }
+  void PutUExpGolomb(uint32_t value) {
+    uint64_t v = static_cast<uint64_t>(value) + 1;
+    int len = 0;
+    for (uint64_t t = v; t > 1; t >>= 1) ++len;
+    for (int i = 0; i < len; ++i) PutBit(false);
+    PutBit(true);
+    for (int i = len - 1; i >= 0; --i) PutBit((v >> i) & 1);
+  }
+  void PutSExpGolomb(int32_t value) {
+    PutUExpGolomb(value >= 0
+                      ? static_cast<uint32_t>(value) << 1
+                      : (static_cast<uint32_t>(-(value + 1)) << 1) | 1);
+  }
+  Bytes Finish() {
+    while (bit_pos_ != 0) PutBit(false);
+    return bytes_;
+  }
+  size_t bit_count() const { return bytes_.size() * 8 + bit_pos_; }
+
+ private:
+  Bytes bytes_;
+  uint8_t current_ = 0;
+  int bit_pos_ = 0;
+};
+
+TEST(BitstreamTest, WordWriterMatchesBitByBitOracle) {
+  const uint32_t edges[] = {0u, 1u, 2u, 0x80000000u, 0xffffffffu};
+  BitWriter w;
+  BitByBitWriter oracle;
+  for (uint32_t v : edges) {
+    w.PutUExpGolomb(v);
+    oracle.PutUExpGolomb(v);
+    w.PutSExpGolomb(static_cast<int32_t>(v));
+    oracle.PutSExpGolomb(static_cast<int32_t>(v));
+    for (int count : {0, 1, 7, 31, 32}) {
+      w.PutBits(v, count);
+      oracle.PutBits(v, count);
+    }
+    ASSERT_EQ(w.bit_count(), oracle.bit_count()) << v;
+  }
+  for (int32_t v : {INT32_MIN, INT32_MIN + 1, -1, INT32_MAX}) {
+    w.PutSExpGolomb(v);
+    oracle.PutSExpGolomb(v);
+  }
+  Rng rng(5);
+  for (int i = 0; i < 20000; ++i) {
+    // Mostly the short codes the coefficient coder writes, with every
+    // code length up to 32 bits of magnitude mixed in.
+    const int bits = static_cast<int>(rng.NextBelow(33));
+    const uint32_t v =
+        static_cast<uint32_t>(rng.NextBelow(uint64_t{1} << bits));
+    switch (rng.NextBelow(4)) {
+      case 0:
+        w.PutUExpGolomb(v);
+        oracle.PutUExpGolomb(v);
+        break;
+      case 1:
+        w.PutSExpGolomb(static_cast<int32_t>(v));
+        oracle.PutSExpGolomb(static_cast<int32_t>(v));
+        break;
+      case 2:
+        w.PutBits(v, bits);
+        oracle.PutBits(v, bits);
+        break;
+      default:
+        w.PutBit(v & 1);
+        oracle.PutBit(v & 1);
+    }
+    ASSERT_EQ(w.bit_count(), oracle.bit_count()) << i;
+  }
+  EXPECT_EQ(w.Finish(), oracle.Finish());
+  // Every padding length.
+  for (int extra = 0; extra < 8; ++extra) {
+    BitWriter short_writer;
+    BitByBitWriter short_oracle;
+    short_writer.PutBits(0x2d, 6 + extra);
+    short_oracle.PutBits(0x2d, 6 + extra);
+    EXPECT_EQ(short_writer.Finish(), short_oracle.Finish()) << extra;
+  }
+}
+
+TEST(BitstreamTest, WriterAppendsAfterGivenBytes) {
+  BitWriter w(Bytes{0xab, 0xcd});
+  w.PutBits(0x5, 3);
+  EXPECT_EQ(w.bit_count(), 19u);
+  EXPECT_EQ(w.Finish(), (Bytes{0xab, 0xcd, 0xa0}));
+  std::vector<int32_t> coefficients = {0, 0, 3, -1, 0, 7};
+  Bytes alone;
+  EncodeCoefficients(coefficients, alone);
+  Bytes appended = {0x01};
+  EncodeCoefficients(coefficients, appended);
+  ASSERT_EQ(appended.size(), alone.size() + 1);
+  EXPECT_TRUE(std::equal(alone.begin(), alone.end(), appended.begin() + 1));
+}
+
+TEST(BitstreamTest, DecodeCoefficientsRejectsCountMismatch) {
+  // A 5-byte payload declaring 2^32 - 1 coefficients: the count must
+  // match the caller's plane before anything is sized by it.
+  const Bytes hostile = {0xff, 0xff, 0xff, 0xff, 0x00};
+  EXPECT_TRUE(DecodeCoefficients(hostile, 256).status().IsCorruption());
+  std::vector<int32_t> coefficients(64, 0);
+  coefficients[3] = 9;
+  Bytes encoded;
+  EncodeCoefficients(coefficients, encoded);
+  EXPECT_TRUE(DecodeCoefficients(encoded, 63).status().IsCorruption());
+  EXPECT_TRUE(DecodeCoefficients(encoded, 65).status().IsCorruption());
+  EXPECT_EQ(DecodeCoefficients(encoded, 64).value(), coefficients);
 }
 
 class WaveletPrTest
@@ -363,12 +493,66 @@ TEST(LocalCosineTest, RequiresBlockMultiple) {
   EXPECT_TRUE(LocalCosine2D(plane).IsInvalidArgument());
 }
 
+/// The block transform LocalCosine2D replaced: the direction tested in the
+/// innermost loop, reads straight from the plane, a second 8x8 output
+/// array copied back at the end.
+void RuntimeDirectionLct(Plane& plane, bool forward) {
+  constexpr int kN = kLocalCosineBlock;
+  double dct[kN][kN];
+  for (int k = 0; k < kN; ++k) {
+    double scale = k == 0 ? std::sqrt(1.0 / kN) : std::sqrt(2.0 / kN);
+    for (int n = 0; n < kN; ++n) {
+      dct[k][n] = scale * std::cos(M_PI * (n + 0.5) * k / kN);
+    }
+  }
+  for (int by = 0; by < plane.height; by += kN) {
+    for (int bx = 0; bx < plane.width; bx += kN) {
+      double tmp[kN][kN], out[kN][kN];
+      for (int y = 0; y < kN; ++y) {
+        for (int k = 0; k < kN; ++k) {
+          double acc = 0;
+          for (int n = 0; n < kN; ++n) {
+            acc += (forward ? dct[k][n] : dct[n][k]) * plane.at(bx + n, by + y);
+          }
+          tmp[y][k] = acc;
+        }
+      }
+      for (int x = 0; x < kN; ++x) {
+        for (int k = 0; k < kN; ++k) {
+          double acc = 0;
+          for (int n = 0; n < kN; ++n) {
+            acc += (forward ? dct[k][n] : dct[n][k]) * tmp[n][x];
+          }
+          out[k][x] = acc;
+        }
+      }
+      for (int y = 0; y < kN; ++y) {
+        for (int x = 0; x < kN; ++x) plane.at(bx + x, by + y) = out[y][x];
+      }
+    }
+  }
+}
+
+TEST(LocalCosineTest, MatchesRuntimeDirectionOracle) {
+  Rng rng(15);
+  Plane plane(40, 24);
+  for (double& v : plane.data) v = rng.Uniform(-300, 300);
+  Plane expected = plane;
+  ASSERT_TRUE(LocalCosine2D(plane).ok());
+  RuntimeDirectionLct(expected, /*forward=*/true);
+  ASSERT_EQ(plane.data, expected.data);
+  ASSERT_TRUE(InverseLocalCosine2D(plane).ok());
+  RuntimeDirectionLct(expected, /*forward=*/false);
+  EXPECT_EQ(plane.data, expected.data);
+}
+
 TEST(QuantizerTest, RoundTripWithinStep) {
   Rng rng(13);
   Plane plane(8, 8);
   for (double& v : plane.data) v = rng.Uniform(-200, 200);
   const double step = 4.0;
-  std::vector<int32_t> q = Quantize(plane, step);
+  std::vector<int32_t> q;
+  Quantize(plane, step, q);
   Plane restored = Dequantize(q, 8, 8, step).value();
   for (size_t i = 0; i < plane.data.size(); ++i) {
     EXPECT_LE(std::abs(restored.data[i] - plane.data[i]), step);
@@ -378,9 +562,66 @@ TEST(QuantizerTest, RoundTripWithinStep) {
 TEST(QuantizerTest, DeadZoneMapsSmallToZero) {
   Plane plane(2, 1);
   plane.data = {0.4, -0.9};
-  std::vector<int32_t> q = Quantize(plane, 1.0);
+  std::vector<int32_t> q;
+  Quantize(plane, 1.0, q);
   EXPECT_EQ(q[0], 0);
   EXPECT_EQ(q[1], 0);
+}
+
+TEST(QuantizerTest, TruncationMatchesFloorForm) {
+  // The form Quantize replaced: floor of the magnitude, sign restored.
+  const auto floor_form = [](double x, double step) {
+    double v = x / step;
+    return static_cast<int32_t>(v < 0 ? -std::floor(-v) : std::floor(v));
+  };
+  std::vector<double> values = {0.0, -0.0, 0.5, -0.5, 0.49999999999999994,
+                                1e-300, -1e-300, 2147483647.0, -2147483648.0,
+                                2147483646.75, -2147483647.25, 1e9 + 0.5,
+                                -1e9 - 0.5};
+  for (int k = -40; k <= 40; ++k) {
+    const double x = k;
+    values.push_back(x);
+    values.push_back(std::nextafter(x, x + 1));
+    values.push_back(std::nextafter(x, x - 1));
+  }
+  Rng rng(14);
+  for (int i = 0; i < 2000; ++i) values.push_back(rng.Uniform(-4096, 4096));
+  for (double step : {1.0, 4.0, 16.0, 0.37 * 8.0, 2.0 / 3.0}) {
+    // Both forms are defined only while the quotient fits in int32.
+    std::vector<double> in_range;
+    for (double x : values) {
+      if (std::abs(x / step) < 2147483648.0) in_range.push_back(x);
+    }
+    Plane plane(static_cast<int>(in_range.size()), 1);
+    plane.data = in_range;
+    std::vector<int32_t> q;
+    Quantize(plane, step, q);
+    ASSERT_EQ(q.size(), in_range.size());
+    for (size_t i = 0; i < in_range.size(); ++i) {
+      ASSERT_EQ(q[i], floor_form(in_range[i], step))
+          << in_range[i] << " / " << step;
+    }
+  }
+}
+
+TEST(QuantizerTest, DequantizeValueIsTheMidpointRule) {
+  for (double step : {1.0, 4.0, 2.96, 0.37, 1e300}) {
+    for (int32_t q : {0, 1, -1, 2, -2, 1000, -1000, INT32_MAX, INT32_MIN}) {
+      // The three-branch form it replaced, compared bit for bit (so a
+      // -0.0 for q == 0 would fail too).
+      double expected = 0;
+      if (q > 0) expected = (q + 0.5) * step;
+      if (q < 0) expected = (q - 0.5) * step;
+      const double got = DequantizeValue(q, step);
+      EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(expected))
+          << q << " " << step;
+    }
+  }
+  std::vector<int32_t> q = {0, 3, -3};
+  Plane plane = Dequantize(q, 3, 1, 0.5).value();
+  for (size_t i = 0; i < q.size(); ++i) {
+    EXPECT_EQ(plane.data[i], DequantizeValue(q[i], 0.5));
+  }
 }
 
 class CodecTest : public ::testing::Test {
@@ -504,6 +745,43 @@ TEST_F(CodecTest, InspectRejectsOversizedDimensions) {
   }
   EXPECT_TRUE(LayeredCodec::Inspect(stream).status().IsCorruption());
   EXPECT_TRUE(LayeredCodec::Decode(stream, -1).status().IsCorruption());
+}
+
+TEST_F(CodecTest, DecodeRejectsHostileCoefficientCount) {
+  // A valid 16x16 single-layer header whose 5-byte base payload declares
+  // 2^32 - 1 coefficients. The count must come from the bounded header,
+  // not from the payload, or decoding sizes a 16 GiB buffer by it.
+  ByteWriter w;
+  w.PutU32(0x4d4c4352);
+  w.PutI32(16);
+  w.PutI32(16);
+  w.PutU8(static_cast<uint8_t>(WaveletBasis::kDaub4));
+  w.PutVarint(1);
+  w.PutU8(static_cast<uint8_t>(LayerBasis::kWavelet));
+  w.PutU8(4);
+  w.PutF64(16.0);
+  w.PutVarint(5);
+  w.PutRaw("\xff\xff\xff\xff\x00", 5);
+  const Bytes stream = w.Take();
+  ASSERT_TRUE(LayeredCodec::Inspect(stream).ok());
+  EXPECT_TRUE(LayeredCodec::Decode(stream).status().IsCorruption());
+  EXPECT_TRUE(LayeredCodec::DecodeThumbnail(stream, 1).status().IsCorruption());
+}
+
+TEST_F(CodecTest, SecondEncodeGrowsNoEncoderScratch) {
+  LayeredCodec codec;
+  Rng rng(3);
+  const media::Image small = media::MakePhantomCt({64, 64, 2, 6.0}, rng);
+  Bytes first = codec.Encode(image_).value();
+  const size_t warm = ThreadEncoderScratchBytes();
+  EXPECT_GT(warm, 0u);
+  EXPECT_EQ(codec.Encode(image_).value(), first);
+  EXPECT_EQ(ThreadEncoderScratchBytes(), warm);
+  // A smaller image fits in the same buffers, and they do not shrink.
+  ASSERT_TRUE(codec.Encode(small).ok());
+  EXPECT_EQ(ThreadEncoderScratchBytes(), warm);
+  EXPECT_EQ(codec.Encode(image_).value(), first);
+  EXPECT_EQ(ThreadEncoderScratchBytes(), warm);
 }
 
 TEST_F(CodecTest, TruncatedStreamRejected) {

@@ -263,6 +263,62 @@ TEST(CompositorTest, ComposeFrameIsByteDeterministic) {
   EXPECT_GT(frames_a[0].video.size(), frames_a[2].video.size());
 }
 
+TEST(CompositorTest, RepeatedImagesReuseTheEncodedVideos) {
+  Rng rng(21);
+  const std::vector<Image> images = {
+      media::MakePhantomCt({64, 64, 3, 2.0}, rng),
+      media::MakePhantomCt({48, 48, 2, 2.0}, rng)};
+  AudioSignal voice(std::vector<float>(16000, 0.2f), 16000);
+  const std::vector<SpeakerTrack> tracks = {MakeTrack(4, &voice, 0, 16000)};
+  obs::MetricsRegistry metrics;
+  compress::SetKernelObserver(&metrics);
+  const auto passes = [&] {
+    return metrics.Snapshot().counters.at("compress.kernel.region_passes");
+  };
+  // Each call must equal a fresh compositor's frames for the same input.
+  const auto expect_fresh = [&](const std::vector<ComposedFrame>& frames,
+                                uint32_t index,
+                                const std::vector<Image>& input) {
+    Compositor fresh(SmallCompositor());
+    auto expected = fresh.ComposeFrame(index, input, tracks).value();
+    ASSERT_EQ(frames.size(), expected.size());
+    for (size_t i = 0; i < frames.size(); ++i) {
+      EXPECT_EQ(frames[i].index, index);
+      EXPECT_EQ(frames[i].level, expected[i].level);
+      EXPECT_EQ(frames[i].video, expected[i].video);
+      EXPECT_EQ(frames[i].audio, expected[i].audio);
+      EXPECT_EQ(frames[i].active_speakers, expected[i].active_speakers);
+    }
+  };
+
+  Compositor compositor(SmallCompositor());
+  ASSERT_TRUE(compositor.ComposeFrame(0, images, tracks).ok());
+  const uint64_t after_first = passes();
+  EXPECT_GT(after_first, 0u);
+  // The same images again: no region pass, same bytes as a fresh
+  // compositor, and the audio is still this frame's own window.
+  auto repeat = compositor.ComposeFrame(1, images, tracks).value();
+  EXPECT_EQ(passes(), after_first);
+  expect_fresh(repeat, 1, images);
+
+  // One pixel, one text overlay, one line overlay or the order changes:
+  // each must miss.
+  std::vector<std::vector<Image>> changed(4, images);
+  changed[0][1].set(7, 9, changed[0][1].at(7, 9) ^ 1);
+  changed[1][0].AddTextElement(3, 3, "A");
+  changed[2][1].AddLineElement(0, 0, 10, 10);
+  std::swap(changed[3][0], changed[3][1]);
+  uint32_t index = 2;
+  for (const std::vector<Image>& input : changed) {
+    const uint64_t before = passes();
+    auto frames = compositor.ComposeFrame(index, input, tracks).value();
+    EXPECT_GT(passes(), before) << "variant " << index - 2;
+    expect_fresh(frames, index, input);
+    ++index;
+  }
+  compress::SetKernelObserver(nullptr);
+}
+
 // --- Relay tree ---
 
 class RelayTreeTest : public ::testing::Test {

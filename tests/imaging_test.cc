@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "common/rng.h"
@@ -52,6 +54,60 @@ TEST_F(OpsTest, ZoomMagnifiesSelectedPart) {
   int center = static_cast<int>(zoomed.at(64, 64));
   int original = static_cast<int>(image_.at(48, 48));
   EXPECT_NEAR(center, original, 40);  // interpolation slack
+}
+
+/// The per-pixel bilinear sampler Zoom replaced: both source coordinates,
+/// their clamps and weights recomputed for every output pixel.
+Image PerPixelZoom(const Image& image, Rect region, int out_width,
+                   int out_height) {
+  Image out = Image::Create(out_width, out_height).value();
+  for (int y = 0; y < out_height; ++y) {
+    double sy = region.y +
+                (y + 0.5) * region.height / static_cast<double>(out_height) -
+                0.5;
+    for (int x = 0; x < out_width; ++x) {
+      double sx = region.x +
+                  (x + 0.5) * region.width / static_cast<double>(out_width) -
+                  0.5;
+      int x0 = static_cast<int>(std::floor(sx));
+      int y0 = static_cast<int>(std::floor(sy));
+      double fx = sx - x0;
+      double fy = sy - y0;
+      auto sample = [&](int px, int py) {
+        px = std::clamp(px, 0, image.width() - 1);
+        py = std::clamp(py, 0, image.height() - 1);
+        return static_cast<double>(image.at(px, py));
+      };
+      double v = (1 - fx) * (1 - fy) * sample(x0, y0) +
+                 fx * (1 - fy) * sample(x0 + 1, y0) +
+                 (1 - fx) * fy * sample(x0, y0 + 1) +
+                 fx * fy * sample(x0 + 1, y0 + 1);
+      out.set(x, y, static_cast<uint8_t>(std::clamp(v, 0.0, 255.0)));
+    }
+  }
+  return out;
+}
+
+TEST_F(OpsTest, ZoomMatchesPerPixelOracle) {
+  const struct {
+    Rect region;
+    int out_width;
+    int out_height;
+  } cases[] = {
+      {image_.Bounds(), 300, 200},   // upscale
+      {image_.Bounds(), 37, 64},     // downscale
+      {{17, 9, 50, 71}, 128, 90},    // offset region
+      {{100, 3, 28, 125}, 13, 250},  // against the right edge
+      {{0, 0, 1, 1}, 4, 4},          // one source pixel
+      {{127, 127, 1, 1}, 3, 2},      // the last one
+  };
+  for (const auto& c : cases) {
+    Image zoomed = Zoom(image_, c.region, c.out_width, c.out_height).value();
+    Image expected = PerPixelZoom(image_, c.region, c.out_width, c.out_height);
+    EXPECT_EQ(zoomed.pixels(), expected.pixels())
+        << c.region.x << "," << c.region.y << " " << c.out_width << "x"
+        << c.out_height;
+  }
 }
 
 class SegmentCountTest : public ::testing::TestWithParam<int> {};

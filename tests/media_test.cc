@@ -157,6 +157,22 @@ TEST(AudioTest, EncodeDecodeRoundTrip) {
   }
 }
 
+TEST(AudioTest, DecodeRejectsCountBeyondPayloadBeforeAllocating) {
+  // Magic, rate and a varint of 2^62 - 1 samples: 17 bytes that would
+  // size a reserve() by the untrusted count.
+  ByteWriter w;
+  w.PutU32(0x4d4d4155);
+  w.PutI32(16000);
+  w.PutVarint((uint64_t{1} << 62) - 1);
+  Bytes hostile = w.Take();
+  ASSERT_EQ(hostile.size(), 17u);
+  EXPECT_TRUE(AudioSignal::Decode(hostile).status().IsCorruption());
+  // One byte short of the declared samples.
+  Bytes truncated = AudioSignal({0.25f, -0.5f}, 8000).Encode();
+  truncated.pop_back();
+  EXPECT_TRUE(AudioSignal::Decode(truncated).status().IsCorruption());
+}
+
 TEST(AudioTest, DurationSeconds) {
   AudioSignal signal(std::vector<float>(16000, 0.0f), 8000);
   EXPECT_DOUBLE_EQ(signal.DurationSeconds(), 2.0);

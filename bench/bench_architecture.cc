@@ -13,7 +13,9 @@
 #include "client/client.h"
 #include "doc/builder.h"
 #include "net/network.h"
+#include "net/reliable.h"
 #include "server/interaction_server.h"
+#include "sim/loop.h"
 #include "storage/database.h"
 
 namespace {
@@ -31,9 +33,12 @@ void PrintFigure1() {
   network.SetDuplexLink(server_node, fast, {10e6, 10000}).ok();
   network.SetDuplexLink(server_node, slow, {128e3, 60000}).ok();
 
+  net::ReliableTransport transport(&network);
   storage::DatabaseServer db;
   db.RegisterStandardTypes().ok();
-  server::InteractionServer server(&db, &network, server_node, db_node);
+  server::InteractionServer server(&db, &transport, server_node, db_node);
+  sim::Loop loop(&transport);
+  loop.Register(&server);
 
   std::printf("== F1: end-to-end flow through the Fig. 1 architecture ==\n");
   std::printf("%-42s %12s\n", "stage", "sim-time(ms)");
@@ -42,20 +47,20 @@ void PrintFigure1() {
   doc::MultimediaDocument document =
       doc::MakeMedicalRecordDocument().value();
   storage::ObjectRef ref = server.StoreDocument(document, "p").value();
-  network.AdvanceUntilIdle();
+  loop.Drain();
   std::printf("%-42s %12.2f\n", "store document (server->db)",
               (clock.NowMicros() - t0) / 1000.0);
 
   MicrosT t1 = clock.NowMicros();
   server.OpenRoom("room", ref).value();
-  network.AdvanceUntilIdle();
+  loop.Drain();
   std::printf("%-42s %12.2f\n", "open room (db fetch + decode)",
               (clock.NowMicros() - t1) / 1000.0);
 
   MicrosT t2 = clock.NowMicros();
   MicrosT fast_at = server.Join("room", {"dr-fast", fast}).value();
   MicrosT slow_at = server.Join("room", {"dr-slow", slow}).value();
-  network.AdvanceUntilIdle();
+  loop.Drain();
   std::printf("%-42s %12.2f\n", "join: initial content to fast client",
               (fast_at - t2) / 1000.0);
   std::printf("%-42s %12.2f\n", "join: initial content to slow client",
@@ -63,7 +68,7 @@ void PrintFigure1() {
 
   MicrosT t3 = clock.NowMicros();
   server.SubmitChoice("room", "dr-fast", "CT", "hidden").value();
-  network.AdvanceUntilIdle();
+  loop.Drain();
   std::printf("%-42s %12.2f\n", "choice + delta propagation (settled)",
               (clock.NowMicros() - t3) / 1000.0);
 
@@ -81,16 +86,19 @@ void BM_EndToEndScenario(benchmark::State& state) {
     net::NodeId client = network.AddNode("c");
     network.SetDuplexLink(server_node, db_node, {50e6, 500}).ok();
     network.SetDuplexLink(server_node, client, {1e6, 20000}).ok();
+    net::ReliableTransport transport(&network);
     storage::DatabaseServer db;
     db.RegisterStandardTypes().ok();
-    server::InteractionServer server(&db, &network, server_node, db_node);
+    server::InteractionServer server(&db, &transport, server_node, db_node);
+    sim::Loop loop(&transport);
+    loop.Register(&server);
     doc::MultimediaDocument document =
         doc::MakeMedicalRecordDocument().value();
     storage::ObjectRef ref = server.StoreDocument(document, "p").value();
     server.OpenRoom("room", ref).value();
     server.Join("room", {"v", client}).value();
     server.SubmitChoice("room", "v", "CT", "hidden").value();
-    benchmark::DoNotOptimize(network.AdvanceUntilIdle());
+    benchmark::DoNotOptimize(loop.Drain());
   }
 }
 BENCHMARK(BM_EndToEndScenario);

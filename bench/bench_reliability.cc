@@ -70,8 +70,7 @@ struct LossyFleet {
         std::make_unique<net::ReliableTransport>(network.get(), policy);
     db.RegisterStandardTypes().ok();
     server = std::make_unique<server::InteractionServer>(
-        &db, network.get(), server_node, db_node);
-    server->UseReliableTransport(transport.get());
+        &db, transport.get(), server_node, db_node);
     loop = std::make_unique<sim::Loop>(transport.get());
     loop->Register(server.get());
     if (sinks.enabled()) {

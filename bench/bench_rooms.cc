@@ -13,7 +13,9 @@
 
 #include "doc/builder.h"
 #include "net/network.h"
+#include "net/reliable.h"
 #include "server/interaction_server.h"
+#include "sim/loop.h"
 #include "storage/database.h"
 
 namespace {
@@ -24,7 +26,9 @@ struct Fleet {
   Clock clock;
   storage::DatabaseServer db;
   std::unique_ptr<net::Network> network;
+  std::unique_ptr<net::ReliableTransport> transport;
   std::unique_ptr<server::InteractionServer> server;
+  std::unique_ptr<sim::Loop> loop;
   net::NodeId server_node = 0, db_node = 0;
   std::vector<net::NodeId> clients;
 
@@ -41,8 +45,11 @@ struct Fleet {
       clients.push_back(node);
     }
     db.RegisterStandardTypes().ok();
+    transport = std::make_unique<net::ReliableTransport>(network.get());
     server = std::make_unique<server::InteractionServer>(
-        &db, network.get(), server_node, db_node);
+        &db, transport.get(), server_node, db_node);
+    loop = std::make_unique<sim::Loop>(transport.get());
+    loop->Register(server.get());
     doc::MultimediaDocument document =
         doc::MakeMedicalRecordDocument().value();
     storage::ObjectRef ref = server->StoreDocument(document, "p").value();
@@ -51,7 +58,7 @@ struct Fleet {
       server->Join("room", {"viewer-" + std::to_string(i), clients[i]})
           .value();
     }
-    network->AdvanceUntilIdle();
+    loop->Drain();
   }
 };
 
@@ -66,7 +73,7 @@ void PrintFigure8() {
     server::ReconfigResult result =
         fleet.server->SubmitChoice("room", "viewer-0", "CT", "hidden")
             .value();
-    fleet.network->AdvanceUntilIdle();
+    fleet.loop->Drain();
     std::printf("%-10d %-16zu %-18.2f %-16zu\n", n,
                 result.delta_cost_bytes,
                 (fleet.clock.NowMicros() - t0) / 1000.0,
@@ -82,7 +89,7 @@ void BM_SubmitChoiceFanout(benchmark::State& state) {
     benchmark::DoNotOptimize(fleet.server->SubmitChoice(
         "room", "viewer-0", "CT", hide ? "hidden" : "flat"));
     hide = !hide;
-    fleet.network->AdvanceUntilIdle();
+    fleet.loop->Drain();
   }
   state.counters["clients"] = static_cast<double>(state.range(0));
 }
@@ -99,7 +106,7 @@ void BM_JoinRoom(benchmark::State& state) {
     benchmark::DoNotOptimize(fleet.server->Join(
         "room", {"late-" + std::to_string(i), node}));
     ++i;
-    fleet.network->AdvanceUntilIdle();
+    fleet.loop->Drain();
   }
 }
 BENCHMARK(BM_JoinRoom);

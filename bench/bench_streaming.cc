@@ -88,9 +88,8 @@ SweepRow RunSweepPoint(const std::vector<Bytes>& objects, double bandwidth,
 
   storage::DatabaseServer db;
   db.RegisterStandardTypes().ok();
-  server::InteractionServer server(&db, &network, server_node, db_node);
   net::ReliableTransport transport(&network);
-  server.UseReliableTransport(&transport);
+  server::InteractionServer server(&db, &transport, server_node, db_node);
   sim::Loop loop(&transport);
   loop.Register(&server);
   if (sinks.enabled()) {

@@ -16,7 +16,9 @@
 
 #include "doc/builder.h"
 #include "net/network.h"
+#include "net/reliable.h"
 #include "server/interaction_server.h"
+#include "sim/loop.h"
 #include "storage/database.h"
 
 namespace {
@@ -27,7 +29,9 @@ struct Testbed {
   Clock clock;
   storage::DatabaseServer db;
   std::unique_ptr<net::Network> network;
+  std::unique_ptr<net::ReliableTransport> transport;
   std::unique_ptr<server::InteractionServer> server;
+  std::unique_ptr<sim::Loop> loop;
   net::NodeId server_node = 0, db_node = 0, client_node = 0,
               peer_node = 0;
   storage::ObjectRef doc_ref;
@@ -42,12 +46,15 @@ struct Testbed {
     network->SetDuplexLink(server_node, client_node, {1e6, 20000}).ok();
     network->SetDuplexLink(server_node, peer_node, {1e6, 20000}).ok();
     db.RegisterStandardTypes().ok();
+    transport = std::make_unique<net::ReliableTransport>(network.get());
     server = std::make_unique<server::InteractionServer>(
-        &db, network.get(), server_node, db_node);
+        &db, transport.get(), server_node, db_node);
+    loop = std::make_unique<sim::Loop>(transport.get());
+    loop->Register(server.get());
     doc::MultimediaDocument document =
         doc::MakeMedicalRecordDocument().value();
     doc_ref = server->StoreDocument(document, "patient").value();
-    network->AdvanceUntilIdle();
+    loop->Drain();
   }
 };
 
@@ -56,12 +63,12 @@ void PrintFigure4() {
   Testbed bed;
   MicrosT t0 = bed.clock.NowMicros();
   bed.server->OpenRoom("room", bed.doc_ref).value();
-  bed.network->AdvanceUntilIdle();
+  bed.loop->Drain();
   MicrosT fetched = bed.clock.NowMicros();
   MicrosT delivered =
       bed.server->Join("room", {"viewer", bed.client_node}).value();
   bed.server->Join("room", {"peer", bed.peer_node}).value();
-  bed.network->AdvanceUntilIdle();
+  bed.loop->Drain();
   std::printf("  fetch+decode from db : %8.2f ms\n",
               (fetched - t0) / 1000.0);
   std::printf("  initial content at   : %8.2f ms\n",
@@ -71,7 +78,7 @@ void PrintFigure4() {
   MicrosT u0 = bed.clock.NowMicros();
   server::ReconfigResult result =
       bed.server->SubmitChoice("room", "viewer", "CT", "hidden").value();
-  bed.network->AdvanceUntilIdle();
+  bed.loop->Drain();
   std::printf("  changed components   : %zu\n",
               result.changed_components.size());
   std::printf("  delta payload        : %zu bytes\n",
@@ -86,7 +93,7 @@ void BM_RetrieveDocument(benchmark::State& state) {
   for (auto _ : state) {
     std::string room_id = "room-" + std::to_string(i++);
     benchmark::DoNotOptimize(bed.server->OpenRoom(room_id, bed.doc_ref));
-    bed.network->AdvanceUntilIdle();
+    bed.loop->Drain();
   }
 }
 BENCHMARK(BM_RetrieveDocument);
@@ -95,13 +102,13 @@ void BM_UpdatePresentation(benchmark::State& state) {
   Testbed bed;
   bed.server->OpenRoom("room", bed.doc_ref).value();
   bed.server->Join("room", {"viewer", bed.client_node}).value();
-  bed.network->AdvanceUntilIdle();
+  bed.loop->Drain();
   bool hide = true;
   for (auto _ : state) {
     benchmark::DoNotOptimize(bed.server->SubmitChoice(
         "room", "viewer", "CT", hide ? "hidden" : "flat"));
     hide = !hide;
-    bed.network->AdvanceUntilIdle();
+    bed.loop->Drain();
   }
 }
 BENCHMARK(BM_UpdatePresentation);
@@ -112,7 +119,7 @@ void BM_StoreDocument(benchmark::State& state) {
       doc::MakeMedicalRecordDocument().value();
   for (auto _ : state) {
     benchmark::DoNotOptimize(bed.server->StoreDocument(document, "p"));
-    bed.network->AdvanceUntilIdle();
+    bed.loop->Drain();
   }
 }
 BENCHMARK(BM_StoreDocument);

@@ -49,8 +49,8 @@ int main() {
   tier.Join(room_id, {"moderator", podium}).value();
   tier.loop()->Settle().value();
   size_t host = tier.NodeOf(room_id).value();
-  std::printf("room '%s' hosts its broadcast on fed-node-%zu\n", room_id.c_str(),
-              host);
+  std::printf("room '%s' hosts its broadcast on fed-node-%zu\n",
+              room_id.c_str(), host);
 
   // Stand the broadcast up and bind the room's CT to its pixels.
   fanout::BroadcastOptions options;

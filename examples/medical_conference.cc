@@ -12,7 +12,9 @@
 #include "doc/builder.h"
 #include "imaging/ops.h"
 #include "media/synthetic.h"
+#include "net/reliable.h"
 #include "server/interaction_server.h"
+#include "sim/loop.h"
 #include "storage/database.h"
 
 using namespace mmconf;
@@ -28,9 +30,13 @@ int main() {
   network.SetDuplexLink(server_node, ws, {10e6, 10000}).ok();
   network.SetDuplexLink(server_node, dsl, {128e3, 60000}).ok();
 
+  net::ReliableTransport transport(&network);
   storage::DatabaseServer db;
   if (!db.RegisterStandardTypes().ok()) return 1;
-  server::InteractionServer server(&db, &network, server_node, db_node);
+  server::InteractionServer server(&db, &transport, server_node, db_node);
+  // One drive loop pumps the transport and routes the server its traffic.
+  sim::Loop loop(&transport);
+  loop.Register(&server);
 
   // Store the CT image and the record document in the database.
   Rng rng(7);
@@ -100,8 +106,8 @@ int main() {
   std::printf("laptop layout:      %s\n",
               client::LayoutToString(laptop_layout).c_str());
 
-  // Drain the network: both partners received every propagated change.
-  std::vector<net::Delivery> deliveries = network.AdvanceUntilIdle();
+  // Drain the loop: both partners received every propagated change.
+  std::vector<net::Delivery> deliveries = loop.Drain();
   cohen.HandleDeliveries(deliveries);
   levi.HandleDeliveries(deliveries);
   std::printf("dr-cohen received %zu deliveries / %zu bytes\n",

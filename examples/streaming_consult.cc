@@ -69,8 +69,7 @@ int main(int argc, char** argv) {
   net::ReliableTransport transport(&network, {});
   storage::DatabaseServer db;
   db.RegisterStandardTypes().ok();
-  server::InteractionServer server(&db, &network, server_node, db_node);
-  server.UseReliableTransport(&transport);
+  server::InteractionServer server(&db, &transport, server_node, db_node);
   // One drive loop pumps the transport and the server's stream schedulers.
   sim::Loop loop(&transport);
   loop.Register(&server);

@@ -261,7 +261,9 @@ Status Hmm::Train(const std::vector<std::vector<FeatureVector>>& sequences,
           static_cast<size_t>(M), FeatureVector(static_cast<size_t>(dim_)));
       std::vector<FeatureVector> variances = means;
       double occ_total = 0;
-      for (int m = 0; m < M; ++m) occ_total += mix_occ[j][static_cast<size_t>(m)];
+      for (int m = 0; m < M; ++m) {
+        occ_total += mix_occ[j][static_cast<size_t>(m)];
+      }
       bool usable_state = occ_total > 1e-6;
       if (!usable_state) continue;
       for (int m = 0; m < M; ++m) {

@@ -4,7 +4,9 @@
 
 namespace mmconf::compress {
 
-int MaxPacketDepth(int width, int height) { return MaxDwtLevels(width, height); }
+int MaxPacketDepth(int width, int height) {
+  return MaxDwtLevels(width, height);
+}
 
 namespace {
 

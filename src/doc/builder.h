@@ -38,8 +38,8 @@ class TreeBuilder {
   Status deferred_error_;
 };
 
-/// Standard presentation domains.
-std::vector<MMPresentation> ImagePresentations();  ///< flat/segmented/thumb/icon/hidden
+/// Standard presentation domains. Images: flat/segmented/thumb/icon/hidden.
+std::vector<MMPresentation> ImagePresentations();
 std::vector<MMPresentation> AudioPresentations();  ///< audio/summary/hidden
 std::vector<MMPresentation> TextPresentations();   ///< text/hidden
 

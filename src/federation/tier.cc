@@ -37,11 +37,10 @@ FederatedInteractionTier::FederatedInteractionTier(
       network_->SetDuplexLink(node.net_id, peer.net_id, options_.backbone)
           .ok();
     }
-    node.server = std::make_unique<InteractionServer>(db_, network_,
-                                                      node.net_id, db_node_);
     // The transport is shared: each server keeps its stream ids
     // disjoint, and the loop routes to it only its own traffic.
-    node.server->UseReliableTransport(transport_.get());
+    node.server = std::make_unique<InteractionServer>(
+        db_, transport_.get(), node.net_id, db_node_);
     node.server->SeedStreamIds(static_cast<stream::StreamId>(i) *
                                    options_.stream_id_stride +
                                1);

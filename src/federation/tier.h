@@ -130,9 +130,9 @@ class FederatedInteractionTier {
                                               const std::string& viewer,
                                               const std::string& component,
                                               const std::string& presentation);
-  Result<server::ReconfigResult> ApplyOperation(const std::string& room_id,
-                                                const server::UserAction& action,
-                                                bool globally_important);
+  Result<server::ReconfigResult> ApplyOperation(
+      const std::string& room_id, const server::UserAction& action,
+      bool globally_important);
   Result<MicrosT> Broadcast(const std::string& room_id,
                             const std::string& tag, size_t bytes);
 

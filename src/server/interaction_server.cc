@@ -12,11 +12,12 @@ using storage::MediaTypeEntry;
 using storage::ObjectRef;
 
 InteractionServer::InteractionServer(storage::ObjectStore* db,
-                                     net::Network* network,
+                                     net::ReliableTransport* transport,
                                      net::NodeId server_node,
                                      net::NodeId db_node)
     : db_(db),
-      network_(network),
+      transport_(transport),
+      network_(transport->network()),
       server_node_(server_node),
       db_node_(db_node) {}
 
@@ -83,17 +84,9 @@ InteractionServer::RoomObs& InteractionServer::ObsFor(
   return room_obs_.emplace(room_id, obs).first->second;
 }
 
-void InteractionServer::UseReliableTransport(
-    net::ReliableTransport* transport) {
-  transport_ = transport;
-}
-
 Result<MicrosT> InteractionServer::Ship(net::NodeId from, net::NodeId to,
                                         size_t bytes, std::string tag,
                                         const std::string& room_id) {
-  if (transport_ == nullptr) {
-    return network_->Send(from, to, bytes, std::move(tag));
-  }
   MMCONF_ASSIGN_OR_RETURN(net::SendHandle handle,
                           transport_->Send(from, to, bytes, std::move(tag)));
   if (!room_id.empty()) {
@@ -135,7 +128,6 @@ bool InteractionServer::OnFailure(const net::FailedMessage& failure) {
 }
 
 void InteractionServer::SettleRoomMessages(const std::string& room_id) {
-  if (transport_ == nullptr) return;
   auto it = outstanding_.find(room_id);
   if (it == outstanding_.end()) return;
   RoomReliabilityStats& stats = room_stats_[room_id];
@@ -362,12 +354,9 @@ Status InteractionServer::Leave(const std::string& room_id,
 Status InteractionServer::Propagate(Room* room, const ReconfigResult& result,
                                     const std::string& origin) {
   if (result.changed_components.empty()) return Status::OK();
-  if (transport_ != nullptr) {
-    room_stats_[room->id()].last_propagate_at =
-        network_->clock()->NowMicros();
-    if (metrics_ != nullptr || tracer_ != nullptr) {
-      ObsFor(room->id()).round_open = true;
-    }
+  room_stats_[room->id()].last_propagate_at = network_->clock()->NowMicros();
+  if (metrics_ != nullptr || tracer_ != nullptr) {
+    ObsFor(room->id()).round_open = true;
   }
   if (m_propagate_rounds_ != nullptr) {
     m_propagate_rounds_->Add();
@@ -409,7 +398,6 @@ Status InteractionServer::Propagate(Room* room, const ReconfigResult& result,
     }
     return level_delta[idx];
   };
-  std::vector<std::string> unreachable;
   for (const auto& [viewer, node] : endpoints_[room->id()]) {
     if (viewer == origin) continue;
     // Per-client delta: the changed components, transcoded for this
@@ -418,33 +406,12 @@ Status InteractionServer::Propagate(Room* room, const ReconfigResult& result,
     if (m_delta_bytes_ != nullptr) {
       m_delta_bytes_->Observe(static_cast<int64_t>(delta_bytes));
     }
-    if (transport_ != nullptr) {
-      // Reliable path: the transport retries with backoff; a member is
-      // evicted via OnDeliveryFailure only once its budget is exhausted.
-      MMCONF_RETURN_IF_ERROR(Ship(server_node_, node, delta_bytes,
-                                  "presentation-delta", room->id())
-                                 .status());
-      bytes_propagated_ += delta_bytes;
-      continue;
-    }
-    Status sent = network_
-                      ->Send(server_node_, node, delta_bytes,
-                             "presentation-delta")
-                      .status();
-    if (sent.IsNotFound()) {
-      // Partitioned / crashed client: evict it below rather than wedging
-      // the whole room.
-      unreachable.push_back(viewer);
-      continue;
-    }
-    MMCONF_RETURN_IF_ERROR(sent);
+    // The transport retries with backoff; a member is evicted (OnFailure)
+    // only once its budget is exhausted.
+    MMCONF_RETURN_IF_ERROR(Ship(server_node_, node, delta_bytes,
+                                "presentation-delta", room->id())
+                               .status());
     bytes_propagated_ += delta_bytes;
-  }
-  for (const std::string& viewer : unreachable) {
-    endpoints_[room->id()].erase(viewer);
-    // Their pinned choices are released; the resulting reconfiguration
-    // reaches the survivors on their next delta.
-    room->Leave(viewer).status().ok();
   }
   return Status::OK();
 }
@@ -501,11 +468,6 @@ Result<MicrosT> InteractionServer::Broadcast(const std::string& room_id,
 Result<stream::StreamId> InteractionServer::OpenStream(
     const std::string& room_id, const std::string& viewer,
     const std::vector<Bytes>& objects, stream::StreamOptions options) {
-  if (transport_ == nullptr) {
-    return Status::FailedPrecondition(
-        "streaming needs a reliable transport: the rate estimate feeds "
-        "off ack timings (UseReliableTransport first)");
-  }
   MMCONF_ASSIGN_OR_RETURN(Room * room, GetRoom(room_id));
   (void)room;
   auto members = endpoints_.find(room_id);
@@ -632,9 +594,6 @@ InteractionServer::ExportRoomStreams(const std::string& room_id) {
 Status InteractionServer::AdoptStream(const std::string& room_id,
                                       const stream::StreamCarryover& carry,
                                       MicrosT deadline_shift) {
-  if (transport_ == nullptr) {
-    return Status::FailedPrecondition("streaming needs a reliable transport");
-  }
   if (rooms_.count(room_id) == 0) {
     return Status::NotFound("no room \"" + room_id + "\"");
   }

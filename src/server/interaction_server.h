@@ -29,8 +29,8 @@ struct ClientEndpoint {
   net::NodeId node = 0;
 };
 
-/// Per-room reliability counters, maintained when the server runs over a
-/// ReliableTransport (see UseReliableTransport).
+/// Per-room reliability counters of the messages the server ships over
+/// its ReliableTransport.
 struct RoomReliabilityStats {
   size_t messages = 0;   ///< reliable messages shipped for this room
   size_t retries = 0;    ///< extra wire attempts its messages consumed
@@ -53,43 +53,40 @@ struct RoomReliabilityStats {
 /// decoded working copies; presentation changes are propagated over the
 /// simulated network with only the changed components' bytes.
 ///
-/// Over a ReliableTransport the server is a sim::Participant: a
-/// sim::Loop pumps its stream schedulers, hands it their chunk traffic
-/// and routes it the delivery failures of its propagation messages. The
-/// server never pumps the transport itself, so any number of servers
-/// (and other participants) can share one.
+/// Every send goes through a ReliableTransport, and the server is a
+/// sim::Participant: a sim::Loop pumps its stream schedulers, hands it
+/// their chunk traffic and routes it the delivery failures of its
+/// propagation messages. The server never pumps the transport itself, so
+/// any number of servers (and other participants) can share one.
 class InteractionServer : public sim::Participant {
  public:
-  /// `db` and `network` must outlive the server. `db` is any
+  /// `db` and `transport` must outlive the server. `db` is any
   /// ObjectStore implementation — a single DatabaseServer or the
   /// durable ShardedDatabaseServer facade (storage/sharded_db.h).
+  /// Every send (client propagation, broadcasts, streams and the
+  /// server<->db hops) goes through `transport`, on its network. A
+  /// message is retried with backoff; only when its retry budget runs
+  /// out does the server evict the unreachable member and re-optimize
+  /// for the survivors, which takes a sim::Loop on the transport with
+  /// this server registered (the loop owns the failure callback).
   /// `server_node` / `db_node` are this server's and the database's
   /// network locations (the server->db link models the JDBC hop).
-  InteractionServer(storage::ObjectStore* db, net::Network* network,
+  InteractionServer(storage::ObjectStore* db,
+                    net::ReliableTransport* transport,
                     net::NodeId server_node, net::NodeId db_node);
 
   InteractionServer(const InteractionServer&) = delete;
   InteractionServer& operator=(const InteractionServer&) = delete;
 
-  /// Routes all subsequent sends (client propagation, broadcasts, and
-  /// the server<->db hops) through `transport`, which must wrap the same
-  /// Network and outlive the server. With a transport, a member is no
-  /// longer evicted on the first failed send: messages are retried with
-  /// backoff, and only when the retry budget is exhausted does the
-  /// server evict the unreachable member and re-optimize for the
-  /// survivors — which takes a sim::Loop on the transport with this
-  /// server registered (the loop owns the failure callback).
-  void UseReliableTransport(net::ReliableTransport* transport);
-  net::ReliableTransport* transport() const { return transport_; }
   net::NodeId server_node() const { return server_node_; }
 
-  /// Reliability counters for a room (zeroed when no transport is set).
-  /// Querying settles completed messages: retries and convergence time
-  /// reflect every ack the transport has processed so far.
+  /// Reliability counters for a room. Querying settles completed
+  /// messages: retries and convergence time reflect every ack the
+  /// transport has processed so far.
   Result<RoomReliabilityStats> RoomStats(const std::string& room_id);
 
   /// True when every reliable message shipped for the room has been
-  /// acked or failed (always true without a transport).
+  /// acked or failed.
   bool RoomConverged(const std::string& room_id);
 
   /// Registers the "Document" media type (idempotent).
@@ -184,11 +181,11 @@ class InteractionServer : public sim::Participant {
   /// deadline scheduling, sharing the transport with Propagate traffic ---
 
   /// Opens a stream of encoded layered objects (compress::LayeredCodec
-  /// bitstreams) toward a room member. Requires a reliable transport
-  /// (the rate estimate feeds off ack timings). When the member has an
-  /// attached prefetch cache, the stream's playout-buffer budget is
-  /// clamped to the cache's free headroom — streaming and prefetch share
-  /// the client's one buffer (§4.4). Returns the server-wide stream id.
+  /// bitstreams) toward a room member; its rate estimate feeds off the
+  /// transport's ack timings. When the member has an attached prefetch
+  /// cache, the stream's playout-buffer budget is clamped to the cache's
+  /// free headroom — streaming and prefetch share the client's one
+  /// buffer (§4.4). Returns the server-wide stream id.
   Result<stream::StreamId> OpenStream(const std::string& room_id,
                                       const std::string& viewer,
                                       const std::vector<Bytes>& objects,
@@ -265,10 +262,9 @@ class InteractionServer : public sim::Participant {
   Status Propagate(Room* room, const ReconfigResult& result,
                    const std::string& origin);
 
-  /// One server-originated send: via the transport when configured
-  /// (tracking the message under `room_id` unless empty), else straight
-  /// on the wire. Returns the (estimated) delivery timestamp, or
-  /// net::kEtaLinkDown when the first attempt could not be scheduled.
+  /// One server-originated send through the transport, tracked under
+  /// `room_id` unless empty. Returns the estimated delivery timestamp,
+  /// or net::kEtaLinkDown when the first attempt could not be scheduled.
   Result<MicrosT> Ship(net::NodeId from, net::NodeId to, size_t bytes,
                        std::string tag, const std::string& room_id);
 
@@ -305,8 +301,8 @@ class InteractionServer : public sim::Participant {
   RoomObs& ObsFor(const std::string& room_id);
 
   storage::ObjectStore* db_;
+  net::ReliableTransport* transport_;
   net::Network* network_;
-  net::ReliableTransport* transport_ = nullptr;
   net::NodeId server_node_;
   net::NodeId db_node_;
   std::map<std::string, std::unique_ptr<Room>> rooms_;

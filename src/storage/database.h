@@ -96,17 +96,10 @@ class DatabaseServer : public ObjectStore {
   Bytes Serialize() const;
 
   /// Restores a serialized database into this (empty, freshly
-  /// constructed) instance. Corruption on checksum or format damage;
-  /// FailedPrecondition if this instance already holds types.
+  /// constructed) instance. Corruption, never a crash, on a truncated or
+  /// damaged snapshot; FailedPrecondition if this instance already holds
+  /// types.
   Status LoadFrom(const Bytes& snapshot);
-
-  /// File-backed convenience wrappers around Serialize/LoadFrom. Save
-  /// writes to `path`.tmp then renames — a torn write never destroys the
-  /// previous snapshot. Load ignores (and removes) a leftover `path`.tmp
-  /// from an interrupted save and returns Corruption, never crashes, on
-  /// a truncated or damaged snapshot.
-  Status SaveToFile(const std::string& path) const;
-  Status LoadFromFile(const std::string& path);
 
   const Catalog& catalog() const { return catalog_; }
   const BlobStore& blob_store() const { return blobs_; }

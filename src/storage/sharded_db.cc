@@ -334,8 +334,8 @@ ShardedDatabaseServer::TypeSpecs() const {
   std::vector<std::pair<MediaTypeEntry, std::vector<FieldDef>>> specs;
   const DatabaseServer& db = *shards_[0]->db;
   for (const MediaTypeEntry& entry : db.catalog().ListTypes()) {
-    specs.emplace_back(entry,
-                       db.catalog().TableFor(entry.type_name).value()->schema());
+    specs.emplace_back(
+        entry, db.catalog().TableFor(entry.type_name).value()->schema());
   }
   return specs;
 }

@@ -164,8 +164,8 @@ TEST_F(MedicalRecordTest, BulkVisibilityRandomParity) {
     cpnet::Assignment config(document.num_variables());
     for (size_t v = 0; v < document.num_variables(); ++v) {
       cpnet::VarId var = static_cast<cpnet::VarId>(v);
-      config.Set(var, static_cast<cpnet::ValueId>(rng.NextBelow(
-                          static_cast<uint64_t>(document.net().DomainSize(var)))));
+      uint64_t domain = static_cast<uint64_t>(document.net().DomainSize(var));
+      config.Set(var, static_cast<cpnet::ValueId>(rng.NextBelow(domain)));
     }
     std::vector<char> bulk;
     ASSERT_TRUE(document.ComputeVisibility(config, &bulk).ok());

@@ -155,7 +155,10 @@ TEST_F(FederationTest, CrossNodePropagateMatchesSingleServer) {
   ASSERT_TRUE(network_->SetDuplexLink(solo_node, db_node_, {50e6, 1000}).ok());
   ASSERT_TRUE(network_->SetDuplexLink(solo_node, client1_, {1e6, 20000}).ok());
   ASSERT_TRUE(network_->SetDuplexLink(solo_node, client2_, {1e6, 20000}).ok());
-  InteractionServer solo(&db_, network_.get(), solo_node, db_node_);
+  // The solo server rides the tier's transport and loop: a second
+  // transport on the same network would consume the tier's deliveries.
+  InteractionServer solo(&db_, tier_->transport(), solo_node, db_node_);
+  tier_->loop()->Register(&solo);
 
   const std::string room_id = "consult";
   tier_->OpenRoomWithDocument(room_id, MakeMedicalRecordDocument().value())
@@ -184,9 +187,9 @@ TEST_F(FederationTest, CrossNodePropagateMatchesSingleServer) {
   solo.SubmitChoice(room_id, "dr-cohen", "CT", "").value();
 
   tier_->loop()->Settle().value();
-  network_->AdvanceUntilIdle();
   EXPECT_EQ((*tier_->GetRoom(room_id))->Serialize(),
             (*solo.GetRoom(room_id))->Serialize());
+  tier_->loop()->Unregister(&solo);
 }
 
 TEST_F(FederationTest, MigrationReplaysStateByteIdentically) {

@@ -11,7 +11,9 @@
 #include "doc/builder.h"
 #include "imaging/ops.h"
 #include "media/synthetic.h"
+#include "net/reliable.h"
 #include "server/interaction_server.h"
+#include "sim/loop.h"
 #include "storage/database.h"
 
 namespace mmconf {
@@ -44,14 +46,19 @@ class IntegrationTest : public ::testing::Test {
                                     {4e3, 80000})  // 4 KB/s mobile link
                     .ok());
     ASSERT_TRUE(db_.RegisterStandardTypes().ok());
-    server_ = std::make_unique<InteractionServer>(&db_, network_.get(),
+    transport_ = std::make_unique<net::ReliableTransport>(network_.get());
+    server_ = std::make_unique<InteractionServer>(&db_, transport_.get(),
                                                   server_node_, db_node_);
+    loop_ = std::make_unique<sim::Loop>(transport_.get());
+    loop_->Register(server_.get());
   }
 
   Clock clock_;
   storage::DatabaseServer db_;
   std::unique_ptr<net::Network> network_;
+  std::unique_ptr<net::ReliableTransport> transport_;
   std::unique_ptr<InteractionServer> server_;
+  std::unique_ptr<sim::Loop> loop_;
   net::NodeId server_node_ = 0, db_node_ = 0, fast_client_ = 0,
               slow_client_ = 0;
 };
@@ -81,7 +88,7 @@ TEST_F(IntegrationTest, FullConsultationScenario) {
       server_->Join("tumor-board", {"dr-levi", slow_client_}).value();
   EXPECT_LT(fast_joined, slow_joined);
 
-  std::vector<net::Delivery> deliveries = network_->AdvanceUntilIdle();
+  std::vector<net::Delivery> deliveries = loop_->Drain();
   fast.HandleDeliveries(deliveries);
   slow.HandleDeliveries(deliveries);
   EXPECT_GT(fast.bytes_received(), 0u);
@@ -96,7 +103,7 @@ TEST_F(IntegrationTest, FullConsultationScenario) {
       server_->SubmitChoice("tumor-board", "dr-cohen", "CT", "hidden")
           .value();
   EXPECT_FALSE(result.changed_components.empty());
-  deliveries = network_->AdvanceUntilIdle();
+  deliveries = loop_->Drain();
   slow.HandleDeliveries(deliveries);
   EXPECT_GT(slow.deliveries_received(), 1u);
 

@@ -309,8 +309,7 @@ InstrumentedRun RunLossyConsult(uint64_t seed) {
   net::ReliableTransport transport(&network, policy);
   storage::DatabaseServer db;
   EXPECT_TRUE(db.RegisterStandardTypes().ok());
-  server::InteractionServer server(&db, &network, server_node, db_node);
-  server.UseReliableTransport(&transport);
+  server::InteractionServer server(&db, &transport, server_node, db_node);
   sim::Loop loop(&transport);
   loop.Register(&server);
 

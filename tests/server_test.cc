@@ -283,14 +283,27 @@ class ServerTest : public ::testing::Test {
                                     {128e3, 50000})  // slow client
                     .ok());
     ASSERT_TRUE(db_.RegisterStandardTypes().ok());
-    server_ = std::make_unique<InteractionServer>(&db_, network_.get(),
+    // A short retry budget, so a partitioned member is evicted within a
+    // second of virtual time.
+    net::RetryPolicy policy;
+    policy.initial_timeout_micros = 100000;
+    policy.backoff_factor = 2.0;
+    policy.max_timeout_micros = 400000;
+    policy.max_attempts = 3;
+    transport_ =
+        std::make_unique<net::ReliableTransport>(network_.get(), policy);
+    server_ = std::make_unique<InteractionServer>(&db_, transport_.get(),
                                                   server_node_, db_node_);
+    loop_ = std::make_unique<sim::Loop>(transport_.get());
+    loop_->Register(server_.get());
   }
 
   Clock clock_;
   storage::DatabaseServer db_;
   std::unique_ptr<net::Network> network_;
+  std::unique_ptr<net::ReliableTransport> transport_;
   std::unique_ptr<InteractionServer> server_;
+  std::unique_ptr<sim::Loop> loop_;
   net::NodeId server_node_ = 0, db_node_ = 0, client1_ = 0, client2_ = 0;
 };
 
@@ -324,7 +337,7 @@ TEST_F(ServerTest, ChoicePropagatesToOtherMembersOnly) {
   server_->OpenRoom("consult", ref).value();
   server_->Join("consult", {"dr-cohen", client1_}).value();
   server_->Join("consult", {"dr-levi", client2_}).value();
-  network_->AdvanceUntilIdle();
+  loop_->Drain();
   size_t to_1_before = network_->BytesSent(server_node_, client1_);
   size_t to_2_before = network_->BytesSent(server_node_, client2_);
 
@@ -362,7 +375,7 @@ TEST_F(ServerTest, SlowClientsReceiveTranscodedPayloads) {
   server_->OpenRoom("consult", ref).value();
   server_->Join("consult", {"fast-doc", client1_}).value();
   server_->Join("consult", {"slow-doc", client2_}).value();
-  network_->AdvanceUntilIdle();
+  loop_->Drain();
   size_t fast_initial = network_->BytesSent(server_node_, client1_);
   size_t slow_initial = network_->BytesSent(server_node_, client2_);
   // The slow client's rendition of the same shared view is much smaller.
@@ -375,7 +388,7 @@ TEST_F(ServerTest, SlowClientsReceiveTranscodedPayloads) {
   ASSERT_TRUE(
       network_->SetDuplexLink(server_node_, third, {10e6, 1000}).ok());
   server_->Join("consult", {"third-doc", third}).value();
-  network_->AdvanceUntilIdle();
+  loop_->Drain();
   size_t fast_before = network_->BytesSent(server_node_, client1_);
   size_t slow_before = network_->BytesSent(server_node_, client2_);
   server_->SubmitChoice("consult", "third-doc", "CT", "hidden").value();
@@ -388,35 +401,7 @@ TEST_F(ServerTest, SlowClientsReceiveTranscodedPayloads) {
   EXPECT_LT(slow_delta, fast_delta);
 }
 
-TEST_F(ServerTest, PartitionedClientIsEvictedNotFatal) {
-  MultimediaDocument document = MakeMedicalRecordDocument().value();
-  storage::ObjectRef ref = server_->StoreDocument(document, "p").value();
-  server_->OpenRoom("consult", ref).value();
-  server_->Join("consult", {"dr-cohen", client1_}).value();
-  server_->Join("consult", {"dr-levi", client2_}).value();
-  network_->AdvanceUntilIdle();
-  // dr-levi's site drops off the network.
-  network_->Partition(server_node_, client2_);
-  // A choice from dr-cohen must still succeed...
-  ASSERT_TRUE(
-      server_->SubmitChoice("consult", "dr-cohen", "CT", "hidden").ok());
-  // ...and the unreachable member is evicted from the room.
-  Room* room = server_->GetRoom("consult").value();
-  EXPECT_FALSE(room->HasMember("dr-levi"));
-  EXPECT_TRUE(room->HasMember("dr-cohen"));
-}
-
 TEST_F(ServerTest, PartitionMidSessionRetriesThenEvictsAfterCap) {
-  net::RetryPolicy policy;
-  policy.initial_timeout_micros = 100000;
-  policy.backoff_factor = 2.0;
-  policy.max_timeout_micros = 400000;
-  policy.max_attempts = 3;
-  net::ReliableTransport transport(network_.get(), policy);
-  server_->UseReliableTransport(&transport);
-  sim::Loop loop(&transport);
-  loop.Register(server_.get());
-
   net::NodeId third = network_->AddNode("client-3");
   ASSERT_TRUE(
       network_->SetDuplexLink(server_node_, third, {1e6, 20000}).ok());
@@ -426,29 +411,29 @@ TEST_F(ServerTest, PartitionMidSessionRetriesThenEvictsAfterCap) {
   server_->Join("consult", {"dr-cohen", client1_}).value();
   server_->Join("consult", {"dr-levi", client2_}).value();
   server_->Join("consult", {"dr-gold", third}).value();
-  loop.Drain();
+  loop_->Drain();
   ASSERT_TRUE(server_->RoomConverged("consult"));
 
   // dr-levi pins a choice, then their site drops off the network.
   server_->SubmitChoice("consult", "dr-levi", "CT", "hidden").value();
-  loop.Drain();
+  loop_->Drain();
   network_->Partition(server_node_, client2_);
 
-  // A change mid-partition succeeds immediately — and unlike the
-  // single-shot path, the unreachable member is NOT evicted yet.
+  // A change mid-partition succeeds immediately, and the unreachable
+  // member is NOT evicted yet.
   ASSERT_TRUE(
       server_->SubmitChoice("consult", "dr-cohen", "CT", "thumbnail").ok());
   Room* room = server_->GetRoom("consult").value();
   EXPECT_TRUE(room->HasMember("dr-levi"));
 
   // Pumping the transport burns dr-levi's retry budget, then evicts.
-  loop.Drain();
+  loop_->Drain();
   EXPECT_FALSE(room->HasMember("dr-levi"));
   EXPECT_TRUE(room->HasMember("dr-cohen"));
   EXPECT_TRUE(room->HasMember("dr-gold"));
 
   // The failed channel consumed its whole budget.
-  net::ChannelStats to_levi = transport.StatsFor(server_node_, client2_);
+  net::ChannelStats to_levi = transport_->StatsFor(server_node_, client2_);
   EXPECT_EQ(to_levi.failed, 1u);
   EXPECT_EQ(to_levi.attempts, to_levi.acked + 3u);
   RoomReliabilityStats stats = server_->RoomStats("consult").value();
@@ -458,14 +443,38 @@ TEST_F(ServerTest, PartitionMidSessionRetriesThenEvictsAfterCap) {
   // Survivors converged: every message to them was acked, and the room
   // settled on dr-cohen's (latest) choice once dr-levi's pin died.
   EXPECT_TRUE(server_->RoomConverged("consult"));
-  EXPECT_EQ(transport.in_flight(), 0u);
-  EXPECT_EQ(transport.StatsFor(server_node_, client1_).failed, 0u);
-  EXPECT_EQ(transport.StatsFor(server_node_, third).failed, 0u);
+  EXPECT_EQ(transport_->in_flight(), 0u);
+  EXPECT_EQ(transport_->StatsFor(server_node_, client1_).failed, 0u);
+  EXPECT_EQ(transport_->StatsFor(server_node_, third).failed, 0u);
   EXPECT_EQ(room->document()
                 .PresentationFor(room->configuration(), "CT")
                 .value()
                 .name,
             "thumbnail");
+}
+
+TEST_F(ServerTest, JoinOverDownLinkReturnsLinkDownEtaThenEvicts) {
+  MultimediaDocument document = MakeMedicalRecordDocument().value();
+  storage::ObjectRef ref = server_->StoreDocument(document, "p").value();
+  server_->OpenRoom("consult", ref).value();
+  server_->Join("consult", {"dr-cohen", client1_}).value();
+  loop_->Drain();
+
+  // dr-levi joins while their site is off the network: the member is in
+  // the room, but their initial content has no delivery estimate yet.
+  network_->Partition(server_node_, client2_);
+  EXPECT_EQ(server_->Join("consult", {"dr-levi", client2_}).value(),
+            net::kEtaLinkDown);
+  Room* room = server_->GetRoom("consult").value();
+  EXPECT_TRUE(room->HasMember("dr-levi"));
+
+  // The content burns its retry budget against the dead link; then the
+  // member is evicted and the other member stays.
+  loop_->Drain();
+  EXPECT_FALSE(room->HasMember("dr-levi"));
+  EXPECT_TRUE(room->HasMember("dr-cohen"));
+  EXPECT_EQ(server_->RoomStats("consult").value().evictions, 1u);
+  EXPECT_TRUE(server_->RoomConverged("consult"));
 }
 
 /// Counters collected from one seeded lossy-room run, compared across
@@ -507,8 +516,7 @@ LossyRunOutcome RunLossyRoom(uint64_t seed) {
   net::ReliableTransport transport(&network, policy);
   storage::DatabaseServer db;
   db.RegisterStandardTypes().ok();
-  InteractionServer server(&db, &network, server_node, db_node);
-  server.UseReliableTransport(&transport);
+  InteractionServer server(&db, &transport, server_node, db_node);
   sim::Loop loop(&transport);
   loop.Register(&server);
 

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "doc/builder.h"
 #include "net/network.h"
+#include "net/reliable.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/interaction_server.h"
@@ -43,9 +44,10 @@ TEST(ShardedDbTest, RoutesAcrossShardsAndFetchesBack) {
   std::vector<ObjectRef> refs;
   for (int i = 0; i < 32; ++i) {
     Bytes blob = RandomBytes(200 + 40 * i, rng);
-    ObjectRef ref = db.Store("Image", ImageFields(i, "img-" + std::to_string(i)),
-                             {{"FLD_DATA", blob}})
-                        .value();
+    ObjectRef ref =
+        db.Store("Image", ImageFields(i, "img-" + std::to_string(i)),
+                 {{"FLD_DATA", blob}})
+            .value();
     payloads.emplace(ref.type + "/" + std::to_string(ref.id), blob);
     refs.push_back(ref);
   }
@@ -343,7 +345,8 @@ TEST(ShardedDbTest, InteractionServerRunsOverShardedFacade) {
   options.num_shards = 3;
   ShardedDatabaseServer db(&clock, options);
   ASSERT_TRUE(db.RegisterStandardTypes().ok());
-  server::InteractionServer server(&db, &network, server_node, db_node);
+  net::ReliableTransport transport(&network);
+  server::InteractionServer server(&db, &transport, server_node, db_node);
   doc::MultimediaDocument document =
       doc::MakeMedicalRecordDocument().value();
   ObjectRef ref = server.StoreDocument(document, "patient-17").value();

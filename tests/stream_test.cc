@@ -241,10 +241,9 @@ class StreamServerTest : public ::testing::Test {
     ASSERT_TRUE(
         network_->SetDuplexLink(server_node_, client2_, {1e6, 20000}).ok());
     ASSERT_TRUE(db_.RegisterStandardTypes().ok());
-    server_ = std::make_unique<server::InteractionServer>(
-        &db_, network_.get(), server_node_, db_node_);
     transport_ = std::make_unique<net::ReliableTransport>(network_.get());
-    server_->UseReliableTransport(transport_.get());
+    server_ = std::make_unique<server::InteractionServer>(
+        &db_, transport_.get(), server_node_, db_node_);
     loop_ = std::make_unique<sim::Loop>(transport_.get());
     loop_->Register(server_.get());
     ASSERT_TRUE(server_
@@ -453,28 +452,6 @@ TEST_F(StreamServerTest, OpenStreamValidation) {
   EXPECT_TRUE(server_->CloseStream(id).ok());
   EXPECT_EQ(server_->num_streams(), 0u);
   EXPECT_TRUE(server_->CloseStream(id).IsNotFound());
-}
-
-TEST(StreamSchedulerTest, RequiresTransportThroughServer) {
-  Clock clock;
-  net::Network network(&clock);
-  net::NodeId server_node = network.AddNode("s");
-  net::NodeId db_node = network.AddNode("db");
-  net::NodeId client = network.AddNode("c");
-  ASSERT_TRUE(network.SetDuplexLink(server_node, db_node, {50e6, 1000}).ok());
-  ASSERT_TRUE(network.SetDuplexLink(server_node, client, {1e6, 20000}).ok());
-  storage::DatabaseServer db;
-  ASSERT_TRUE(db.RegisterStandardTypes().ok());
-  server::InteractionServer server(&db, &network, server_node, db_node);
-  ASSERT_TRUE(server
-                  .OpenRoomWithDocument(
-                      "consult", doc::MakeMedicalRecordDocument().value())
-                  .ok());
-  ASSERT_TRUE(server.Join("consult", {"dr-cohen", client}).ok());
-  EXPECT_TRUE(server
-                  .OpenStream("consult", "dr-cohen", EncodeObjects(1), {})
-                  .status()
-                  .IsFailedPrecondition());
 }
 
 }  // namespace

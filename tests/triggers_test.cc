@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "doc/builder.h"
+#include "net/reliable.h"
 #include "server/interaction_server.h"
+#include "sim/loop.h"
 #include "storage/database.h"
 
 namespace mmconf::server {
@@ -25,21 +27,26 @@ class TriggersTest : public ::testing::Test {
     ASSERT_TRUE(
         network_->SetDuplexLink(server_node_, client2_, {1e6, 1000}).ok());
     ASSERT_TRUE(db_.RegisterStandardTypes().ok());
-    server_ = std::make_unique<InteractionServer>(&db_, network_.get(),
+    transport_ = std::make_unique<net::ReliableTransport>(network_.get());
+    server_ = std::make_unique<InteractionServer>(&db_, transport_.get(),
                                                   server_node_, db_node_);
+    loop_ = std::make_unique<sim::Loop>(transport_.get());
+    loop_->Register(server_.get());
     server_
         ->OpenRoomWithDocument("room",
                                doc::MakeMedicalRecordDocument().value())
         .value();
     server_->Join("room", {"alice", client1_}).value();
     server_->Join("room", {"bob", client2_}).value();
-    network_->AdvanceUntilIdle();
+    loop_->Drain();
   }
 
   Clock clock_;
   storage::DatabaseServer db_;
   std::unique_ptr<net::Network> network_;
+  std::unique_ptr<net::ReliableTransport> transport_;
   std::unique_ptr<InteractionServer> server_;
+  std::unique_ptr<sim::Loop> loop_;
   net::NodeId server_node_ = 0, db_node_ = 0, client1_ = 0, client2_ = 0;
 };
 
